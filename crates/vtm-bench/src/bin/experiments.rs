@@ -56,14 +56,14 @@ fn usage() -> ! {
     eprintln!(
         "       experiments gateway-bench [--env <preset>] [--checkpoint <path>] \
          [--duration-s S] [--sessions N] [--ingress N] [--executors N] \
-         [--max-batch N] [--max-delay-us N] [--queue-capacity N] [--no-open-loop] \
+         [--max-batch N] [--queue-capacity N] [--no-open-loop] \
          [--precision f64|f32|both]"
     );
     eprintln!(
         "       experiments fabric-bench [--env <preset>] [--checkpoint <path>] \
          [--shards N] [--arms a=90,b=10] [--duration-s S] [--sessions N] \
-         [--ingress N] [--executors N] [--max-batch N] [--max-delay-us N] \
-         [--queue-capacity N] [--no-open-loop]"
+         [--ingress N] [--executors N] [--max-batch N] [--queue-capacity N] \
+         [--no-open-loop]"
     );
     eprintln!(
         "       experiments journal-demo [--env <preset>] [--checkpoint <path>] \
@@ -297,10 +297,6 @@ fn main_gateway_bench(args: &[String]) {
                 opts.max_batch =
                     parse_count(flag_value(args, &mut i, "--max-batch"), "--max-batch").max(1)
             }
-            "--max-delay-us" => {
-                opts.max_delay_us =
-                    parse_count(flag_value(args, &mut i, "--max-delay-us"), "--max-delay-us") as u64
-            }
             "--queue-capacity" => {
                 opts.queue_capacity = parse_count(
                     flag_value(args, &mut i, "--queue-capacity"),
@@ -405,10 +401,6 @@ fn main_fabric_bench(args: &[String]) {
             "--max-batch" => {
                 opts.max_batch =
                     parse_count(flag_value(args, &mut i, "--max-batch"), "--max-batch").max(1)
-            }
-            "--max-delay-us" => {
-                opts.max_delay_us =
-                    parse_count(flag_value(args, &mut i, "--max-delay-us"), "--max-delay-us") as u64
             }
             "--queue-capacity" => {
                 opts.queue_capacity = parse_count(
@@ -666,7 +658,7 @@ fn main_chaos(args: &[String]) {
                 println!(
                     "chaos `{}`: {} admitted / {} quoted / {} errored / {} rejected — \
                      panics {}, restarts {}, expired {}, shed {}, degraded {}, \
-                     watchdog {}, journal retries {}, bypassed {}{replay}",
+                     journal retries {}, bypassed {}{replay}",
                     r.plan,
                     r.admitted,
                     r.quoted,
@@ -677,7 +669,6 @@ fn main_chaos(args: &[String]) {
                     r.stats.expired,
                     r.stats.shed,
                     r.stats.degraded_quotes,
-                    r.stats.watchdog_fires,
                     r.stats.journal_retries,
                     r.stats.journal_bypassed,
                 );

@@ -35,7 +35,6 @@ pub const PLANS: &[&str] = &[
     "journal-bypass",
     "deadline-storm",
     "slow-batch",
-    "scheduler-stall",
 ];
 
 /// Options of one `experiments chaos` run.
@@ -87,7 +86,7 @@ pub struct ChaosPlanResult {
     pub quoted: u64,
     /// Waits that returned a typed error (still liveness-correct).
     pub errored: u64,
-    /// Submissions rejected synchronously (shed, stalled, overloaded).
+    /// Submissions rejected synchronously (shed, overloaded).
     pub rejected: u64,
     /// Final gateway telemetry.
     pub stats: TelemetrySnapshot,
@@ -131,10 +130,7 @@ fn stream_requests(opts: &ChaosOptions) -> Result<Vec<QuoteRequest>, String> {
 /// with single-request batches, so batch index N is exactly request N and
 /// the armed fault indices are deterministic.
 fn plan_config(plan: &str, total: u64, journal: Option<&PathBuf>) -> Result<GatewayConfig, String> {
-    let mut config = GatewayConfig::default()
-        .with_executors(1)
-        .with_max_batch(1)
-        .with_max_delay(Duration::from_micros(100));
+    let mut config = GatewayConfig::default().with_executors(1).with_max_batch(1);
     if let Some(path) = journal {
         config = config.with_journal(
             JournalOptions::new(path)
@@ -166,9 +162,6 @@ fn plan_config(plan: &str, total: u64, journal: Option<&PathBuf>) -> Result<Gate
         "slow-batch" => config.with_faults(
             FaultPlan::new(14).with_batch_delay(Duration::from_millis(5), (total / 4).max(1)),
         ),
-        "scheduler-stall" => config
-            .with_supervisor_poll(Duration::from_millis(1))
-            .with_faults(FaultPlan::new(15).with_scheduler_panic(0)),
         other => {
             return Err(format!(
                 "unknown chaos plan `{other}` (known: {})",
@@ -307,20 +300,6 @@ fn run_plan(plan: &str, opts: &ChaosOptions) -> Result<ChaosPlanResult, String> 
                 violations.push(format!(
                     "injected 5ms batch delay not visible in latency (max {} us)",
                     stats.latency_max_us
-                ));
-            }
-        }
-        "scheduler-stall" => {
-            if stats.watchdog_fires != 1 || stats.completed != 0 {
-                violations.push(format!(
-                    "watchdog: expected one fire and no completions, got {} fires, {} completed",
-                    stats.watchdog_fires, stats.completed
-                ));
-            }
-            if errored + rejected != total {
-                violations.push(format!(
-                    "watchdog: every request must be failed or rejected \
-                     ({errored} errored + {rejected} rejected of {total})"
                 ));
             }
         }

@@ -19,11 +19,12 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use vtm_core::registry::{EnvBuildOptions, EnvRegistry, RequestFrame};
+use vtm_core::registry::{EnvBuildOptions, EnvRegistry};
 use vtm_fabric::{ArmSpec, Fabric, FabricConfig, FabricError, FabricSnapshot};
 use vtm_gateway::{GatewayConfig, GatewayError};
 use vtm_serve::{QuoteRequest, ServiceConfig, SharedPolicy};
 
+use crate::gateway_bench::quote_requests;
 use crate::results_dir;
 use crate::serve_bench::resolve_snapshot;
 use crate::timing::{available_cores, percentile};
@@ -55,10 +56,8 @@ pub struct FabricBenchOptions {
     /// Executor threads *per shard gateway* (parallelism comes from the
     /// shards; 1 keeps each shard at the deterministic baseline shape).
     pub executors: usize,
-    /// Scheduler flush threshold per shard.
+    /// Largest batch an executor takes, per shard.
     pub max_batch: usize,
-    /// Scheduler flush deadline in microseconds.
-    pub max_delay_us: u64,
     /// Admission bound (in-flight requests) per shard.
     pub queue_capacity: usize,
     /// Open-loop offered loads, as multiples of the scaled closed-loop
@@ -80,7 +79,6 @@ impl Default for FabricBenchOptions {
             ingress: 0,
             executors: 1,
             max_batch: 32,
-            max_delay_us: 1000,
             queue_capacity: 4096,
             open_loop_factors: vec![0.5, 1.0, 2.0],
         }
@@ -208,7 +206,7 @@ fn closed_loop(
     policy: &SharedPolicy,
     config: FabricConfig,
     ingress: usize,
-    stream: &[Vec<RequestFrame>],
+    stream: &[Vec<QuoteRequest>],
     duration: Duration,
 ) -> Result<ClosedLoopOutcome, String> {
     let fabric = Fabric::start_shared(policy, config).map_err(|e| e.to_string())?;
@@ -225,17 +223,16 @@ fn closed_loop(
                         if Instant::now() >= deadline {
                             break 'run;
                         }
-                        let frames: &Vec<RequestFrame> = &stream[round % stream.len()];
+                        let requests = &stream[round % stream.len()];
                         // Per-session order stays FIFO: each ingress thread
                         // owns its session slice, and the fabric routes a
                         // session to exactly one shard.
-                        for frame in frames.iter().skip(t).step_by(ingress) {
+                        for request in requests.iter().skip(t).step_by(ingress) {
                             if Instant::now() >= deadline {
                                 break 'run;
                             }
-                            let request = QuoteRequest::new(frame.session, frame.features.clone());
                             let sent = Instant::now();
-                            match fabric.quote(request) {
+                            match fabric.quote(request.clone()) {
                                 Ok(_) => latencies_us.push(sent.elapsed().as_secs_f64() * 1e6),
                                 Err(FabricError::Gateway(GatewayError::Overloaded { .. })) => {
                                     std::thread::yield_now();
@@ -283,12 +280,12 @@ fn open_loop(
     policy: &SharedPolicy,
     config: FabricConfig,
     rate_qps: f64,
-    stream: &[Vec<RequestFrame>],
+    stream: &[Vec<QuoteRequest>],
     duration: Duration,
 ) -> Result<(f64, FabricSnapshot), String> {
     let fabric = Fabric::start_shared(policy, config).map_err(|e| e.to_string())?;
     let start = Instant::now();
-    let mut frames = stream.iter().flatten().cycle();
+    let mut requests = stream.iter().flatten().cycle();
     let mut offered = 0u64;
     loop {
         let elapsed = start.elapsed();
@@ -297,8 +294,8 @@ fn open_loop(
         }
         let target = (elapsed.as_secs_f64() * rate_qps) as u64;
         while offered < target {
-            let frame = frames.next().expect("stream is non-empty");
-            match fabric.submit(QuoteRequest::new(frame.session, frame.features.clone())) {
+            let request = requests.next().expect("stream is non-empty");
+            match fabric.submit(request.clone()) {
                 Ok(_) | Err(FabricError::Gateway(GatewayError::Overloaded { .. })) => offered += 1,
                 Err(err) => return Err(err.to_string()),
             }
@@ -343,9 +340,11 @@ pub fn run_fabric_bench(opts: &FabricBenchOptions) -> Result<FabricBenchResult, 
     let policy = SharedPolicy::from_snapshot(&snapshot)
         .map_err(|e| format!("cannot build shared policy: {e}"))?;
     let sessions = opts.sessions.max(1);
-    let stream = registry
-        .request_stream(&opts.env, &build, sessions, opts.stream_rounds.max(1))
-        .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?;
+    let stream = quote_requests(
+        registry
+            .request_stream(&opts.env, &build, sessions, opts.stream_rounds.max(1))
+            .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?,
+    );
 
     let shards = if opts.shards == 0 {
         available_cores()
@@ -359,7 +358,6 @@ pub fn run_fabric_bench(opts: &FabricBenchOptions) -> Result<FabricBenchResult, 
     };
     let gateway = GatewayConfig::default()
         .with_max_batch(opts.max_batch)
-        .with_max_delay(Duration::from_micros(opts.max_delay_us))
         .with_queue_capacity(opts.queue_capacity)
         .with_executors(opts.executors.max(1));
     let service = ServiceConfig::new(build.history_length, features);
@@ -444,7 +442,6 @@ mod tests {
             shards: 2,
             ingress: 2,
             max_batch: 8,
-            max_delay_us: 200,
             open_loop_factors: vec![1.0],
             ..FabricBenchOptions::default()
         }

@@ -1,8 +1,8 @@
 //! The gateway load generator behind `experiments gateway-bench`.
 //!
 //! Measures the end-to-end quote throughput and latency of a
-//! [`Gateway`] (micro-batching scheduler + executor pool over a shared
-//! frozen [`PricingService`]) under two canonical load shapes:
+//! [`Gateway`] (self-batching executor pool over a shared frozen
+//! [`PricingService`]) under two canonical load shapes:
 //!
 //! * **closed loop** — `N` ingress worker threads each submit one request
 //!   and block for its quote before sending the next, replaying a
@@ -53,10 +53,8 @@ pub struct GatewayBenchOptions {
     pub ingress: usize,
     /// Gateway executor threads (`0` = one per core).
     pub executors: usize,
-    /// Scheduler flush threshold.
+    /// Largest batch an executor takes.
     pub max_batch: usize,
-    /// Scheduler flush deadline in microseconds.
-    pub max_delay_us: u64,
     /// Admission bound (in-flight requests).
     pub queue_capacity: usize,
     /// Open-loop offered loads, as multiples of the scaled closed-loop
@@ -81,7 +79,6 @@ impl Default for GatewayBenchOptions {
             ingress: 0,
             executors: 0,
             max_batch: 32,
-            max_delay_us: 1000,
             queue_capacity: 4096,
             open_loop_factors: vec![0.5, 1.0, 2.0],
             precision: BenchPrecision::default(),
@@ -127,10 +124,8 @@ pub struct GatewayBenchResult {
     pub history_length: usize,
     /// Seconds per timed run.
     pub duration_s: f64,
-    /// Scheduler flush threshold.
+    /// Largest batch an executor takes.
     pub max_batch: usize,
-    /// Scheduler flush deadline (µs).
-    pub max_delay_us: u64,
     /// Closed-loop throughput of the 1-ingress/1-executor baseline.
     pub baseline_qps: f64,
     /// Closed-loop throughput at the configured ingress/executor counts.
@@ -176,7 +171,7 @@ impl GatewayBenchResult {
             "{{\n  \"bench\": \"gateway\",\n  \"env\": \"{env}\",\n  \"shapes\": {{\n    \
              \"sessions\": {sessions},\n    \"history_length\": {hist},\n    \
              \"features_per_round\": {feat},\n    \"max_batch\": {max_batch},\n    \
-             \"max_delay_us\": {delay},\n    \"duration_s\": {dur}\n  }},\n  \
+             \"duration_s\": {dur}\n  }},\n  \
              \"baseline_qps\": {base:.1},\n  \"scaled_qps\": {scaled:.1},\n  \
              \"speedup\": {speedup:.3},{f32}\n  \"runs\": [\n{runs}\n  ]\n}}\n",
             env = self.env,
@@ -184,7 +179,6 @@ impl GatewayBenchResult {
             hist = self.history_length,
             feat = self.features_per_round,
             max_batch = self.max_batch,
-            delay = self.max_delay_us,
             dur = self.duration_s,
             base = self.baseline_qps,
             scaled = self.scaled_qps,
@@ -221,13 +215,28 @@ struct ClosedLoopOutcome {
     telemetry: TelemetrySnapshot,
 }
 
+/// Turns a request stream into the gateway requests it carries, once,
+/// before any timed loop: submits then clone a ready request instead of
+/// assembling one.
+pub(crate) fn quote_requests(stream: Vec<Vec<RequestFrame>>) -> Vec<Vec<QuoteRequest>> {
+    stream
+        .into_iter()
+        .map(|round| {
+            round
+                .into_iter()
+                .map(|frame| QuoteRequest::new(frame.session, frame.features))
+                .collect()
+        })
+        .collect()
+}
+
 /// Closed loop: `ingress` threads each own a session slice of the stream
 /// and submit-and-wait until the deadline.
 fn closed_loop(
     service: &Arc<PricingService>,
     config: GatewayConfig,
     ingress: usize,
-    stream: &[Vec<RequestFrame>],
+    stream: &[Vec<QuoteRequest>],
     duration: Duration,
 ) -> Result<ClosedLoopOutcome, String> {
     let gateway = Arc::new(Gateway::start(Arc::clone(service), config));
@@ -247,16 +256,15 @@ fn closed_loop(
                         if Instant::now() >= deadline {
                             break 'run;
                         }
-                        let frames: &Vec<RequestFrame> = &stream[round % stream.len()];
+                        let requests = &stream[round % stream.len()];
                         // Each ingress thread prices its own session slice,
                         // so per-session request order stays FIFO.
-                        for frame in frames.iter().skip(t).step_by(ingress) {
+                        for request in requests.iter().skip(t).step_by(ingress) {
                             if Instant::now() >= deadline {
                                 break 'run;
                             }
-                            let request = QuoteRequest::new(frame.session, frame.features.clone());
                             let sent = Instant::now();
-                            match gateway.quote(request) {
+                            match gateway.quote(request.clone()) {
                                 Ok(_) => latencies_us.push(sent.elapsed().as_secs_f64() * 1e6),
                                 Err(GatewayError::Overloaded { .. }) => {
                                     std::thread::yield_now();
@@ -306,12 +314,12 @@ fn open_loop(
     service: &Arc<PricingService>,
     config: GatewayConfig,
     rate_qps: f64,
-    stream: &[Vec<RequestFrame>],
+    stream: &[Vec<QuoteRequest>],
     duration: Duration,
 ) -> Result<(f64, TelemetrySnapshot), String> {
     let gateway = Gateway::start(Arc::clone(service), config);
     let start = Instant::now();
-    let mut frames = stream.iter().flatten().cycle();
+    let mut requests = stream.iter().flatten().cycle();
     let mut offered = 0u64;
     loop {
         let elapsed = start.elapsed();
@@ -322,8 +330,8 @@ fn open_loop(
         // fixed interval per request (robust at rates far beyond 1/sleep).
         let target = (elapsed.as_secs_f64() * rate_qps) as u64;
         while offered < target {
-            let frame = frames.next().expect("stream is non-empty");
-            match gateway.submit(QuoteRequest::new(frame.session, frame.features.clone())) {
+            let request = requests.next().expect("stream is non-empty");
+            match gateway.submit(request.clone()) {
                 // The ticket is dropped: open-loop clients do not wait.
                 // Completion still lands in telemetry.
                 Ok(_) | Err(GatewayError::Overloaded { .. }) => offered += 1,
@@ -364,9 +372,11 @@ pub fn run_gateway_bench(opts: &GatewayBenchOptions) -> Result<GatewayBenchResul
         &build,
     )?;
     let sessions = opts.sessions.max(1);
-    let stream = registry
-        .request_stream(&opts.env, &build, sessions, opts.stream_rounds.max(1))
-        .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?;
+    let stream = quote_requests(
+        registry
+            .request_stream(&opts.env, &build, sessions, opts.stream_rounds.max(1))
+            .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?,
+    );
 
     // One frozen service shared by every run: executor parallelism comes
     // from the gateway pool, so the inner forward pass stays single-thread.
@@ -389,7 +399,6 @@ pub fn run_gateway_bench(opts: &GatewayBenchOptions) -> Result<GatewayBenchResul
     };
     let gateway_config = GatewayConfig::default()
         .with_max_batch(opts.max_batch)
-        .with_max_delay(Duration::from_micros(opts.max_delay_us))
         .with_queue_capacity(opts.queue_capacity);
     let duration = Duration::from_secs_f64(opts.duration_s.max(0.01));
 
@@ -500,7 +509,6 @@ pub fn run_gateway_bench(opts: &GatewayBenchOptions) -> Result<GatewayBenchResul
         history_length: build.history_length,
         duration_s: opts.duration_s,
         max_batch: opts.max_batch,
-        max_delay_us: opts.max_delay_us,
         baseline_qps,
         scaled_qps,
         speedup: scaled_qps / baseline_qps.max(1e-9),
@@ -522,7 +530,6 @@ mod tests {
             ingress: 2,
             executors: 1,
             max_batch: 8,
-            max_delay_us: 200,
             open_loop_factors: vec![1.0],
             ..GatewayBenchOptions::default()
         }

@@ -12,7 +12,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use vtm_core::registry::{EnvBuildOptions, EnvRegistry};
 use vtm_gateway::{Gateway, GatewayConfig};
@@ -42,7 +41,7 @@ pub struct JournalDemoOptions {
     pub requests: usize,
     /// Distinct VMU sessions in the replayed stream.
     pub sessions: usize,
-    /// Scheduler flush threshold.
+    /// Largest batch the executor takes.
     pub max_batch: usize,
     /// Journal fsync-less flush cadence (appends per `flush`).
     pub flush_every: u64,
@@ -199,7 +198,6 @@ pub fn run_journal_demo(opts: &JournalDemoOptions) -> Result<JournalDemoResult, 
         GatewayConfig::default()
             .with_executors(1)
             .with_max_batch(opts.max_batch.max(1))
-            .with_max_delay(Duration::from_micros(500))
             .with_journal(
                 JournalOptions::new(&opts.journal)
                     .with_flush_every(opts.flush_every)

@@ -2,7 +2,7 @@
 //!
 //! The throughput assertion is `#[ignore]`d because it is a wall-clock
 //! comparison whose ≥ 2x target is defined for multi-core machines (on one
-//! core the ingress workers, the scheduler and the executors all time-slice
+//! core the ingress workers and the executors all time-slice
 //! the same CPU); CI runs the `--ignored` suite automatically when the
 //! runner has ≥ 4 cores, and it can always be run explicitly with
 //! `cargo test -p vtm-bench --release -- --ignored --nocapture`.
@@ -52,7 +52,6 @@ fn concurrent_gateway_is_at_least_2x_single_lane_throughput() {
         ingress: 0,   // one per core
         executors: 0, // one per core
         max_batch: 64,
-        max_delay_us: 500,
         open_loop_factors: Vec::new(), // closed-loop comparison only
         ..GatewayBenchOptions::default()
     })

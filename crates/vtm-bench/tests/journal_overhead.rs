@@ -93,7 +93,6 @@ fn journaling_overhead_stays_under_ten_percent() {
     let base_config = GatewayConfig::default()
         .with_executors(2)
         .with_max_batch(16)
-        .with_max_delay(Duration::from_micros(200))
         .with_queue_capacity(4096);
 
     // Warm-up pass (page cache, thread pools, branch predictors).

@@ -90,7 +90,6 @@ fn tracing_overhead_stays_under_three_percent() {
     let base_config = GatewayConfig::default()
         .with_executors(2)
         .with_max_batch(16)
-        .with_max_delay(Duration::from_micros(200))
         .with_queue_capacity(4096);
     let traced_config = base_config
         .clone()

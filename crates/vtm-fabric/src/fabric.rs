@@ -4,10 +4,9 @@
 //! # Topology
 //!
 //! A fabric with `S` shards and `A` arms runs `S × A` fully independent
-//! [`Gateway`]s — each with its own scheduler thread, executor pool,
-//! session-store-backed [`PricingService`] and (optionally) its own
-//! journal file. A request is routed twice, both times by a pure hash of
-//! its session id:
+//! [`Gateway`]s — each with its own executor pool, session-store-backed
+//! [`PricingService`] and (optionally) its own journal file. A request is
+//! routed twice, both times by a pure hash of its session id:
 //!
 //! 1. **arm** — `ArmTable::arm_of` picks the policy arm (hash-stable
 //!    percentage assignment, salted so it is independent of sharding),

@@ -1,5 +1,5 @@
-//! The concurrent pricing gateway: ingress → micro-batching scheduler →
-//! executor pool → completion handles, wrapped in a supervision layer.
+//! The concurrent pricing gateway: ingress → self-batching executor pool →
+//! completion handles, wrapped in a supervision layer.
 //!
 //! ```text
 //!  submit(&self, QuoteRequest)            (any number of caller threads)
@@ -11,27 +11,29 @@
 //!        ▼
 //!  IngressQueue (Mutex<VecDeque> + Condvar, bounded by admission)
 //!        │
-//!  scheduler thread: expire stale deadlines, then drain up to max_batch,
-//!        │            or whatever arrived when max_delay expires
-//!        ▼
-//!  BatchQueue (Mutex<VecDeque<Batch>> + Condvar)
-//!        │
-//!  executor pool (N threads): PricingService::quote_refs per batch,
-//!        │                    under catch_unwind — a panicked batch fails
-//!        │                    only its own tickets
+//!  executor pool (N threads), each one in a loop:
+//!        │  block until the queue is non-empty, then take whatever is
+//!        │  queued (≤ max_batch) at once — no timed wait; under the
+//!        │  ingress lock expire stale deadlines and number the batch
+//!        │  PricingService::quote_refs per batch, under catch_unwind —
+//!        │  a panicked batch fails only its own tickets
 //!        ▼
 //!  QuoteTicket::wait() resolves; telemetry records latency + batch size
 //!
-//!  supervisor thread: respawns panicked executors, watches the scheduler
-//!  and fails pending tickets (instead of hanging) if it dies
+//!  supervisor thread: respawns panicked executors
 //! ```
+//!
+//! Batches fill naturally while every executor is busy: requests that
+//! arrive during a forward pass are all taken by the next pop, so batch
+//! size tracks load without a flush timer and an idle gateway answers a
+//! lone request with two thread handoffs (caller → executor → caller).
 //!
 //! All synchronisation is `std` (`Mutex`/`Condvar`/atomics) — no async
 //! runtime, consistent with the dependency-free workspace. The liveness
 //! invariant is structural: every admitted request is owned by exactly one
 //! [`Pending`], and a `Pending` resolves its ticket on drop if nothing else
 //! did, so no [`QuoteTicket::wait`] can block forever — under panics,
-//! injected faults, watchdog activations or shutdown.
+//! injected faults or shutdown.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -69,17 +71,16 @@ pub enum JournalBypassPolicy {
 /// Static configuration of a [`Gateway`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayConfig {
-    /// Flush a forming batch as soon as it holds this many requests.
+    /// The most requests an executor takes off the ingress queue as one
+    /// batch.
     pub max_batch: usize,
-    /// Flush a forming batch this long after its first request arrived,
-    /// even if it is smaller than `max_batch` (the latency deadline).
-    pub max_delay: Duration,
     /// Admission bound: maximum admitted-but-not-yet-completed requests.
     /// Submissions beyond it are rejected with
     /// [`GatewayError::Overloaded`] instead of growing queues without
     /// bound.
     pub queue_capacity: usize,
-    /// Inference executor threads draining flushed batches.
+    /// Inference executor threads, each popping and pricing its own
+    /// batches.
     pub executors: usize,
     /// Audit journaling: when set, every admitted request is appended to a
     /// fresh on-disk journal *before* it enters the batching pipeline, so
@@ -89,8 +90,9 @@ pub struct GatewayConfig {
     /// see the `vtm-journal` crate.
     pub journal: Option<JournalOptions>,
     /// Per-request completion deadline stamped at admission (`None` = no
-    /// deadline). The scheduler expires queued requests whose deadline has
-    /// passed before forming batches ([`GatewayError::DeadlineExceeded`]),
+    /// deadline). The executor that pops a request expires it instead of
+    /// pricing it once its deadline has passed
+    /// ([`GatewayError::DeadlineExceeded`]),
     /// and [`QuoteTicket::wait`] stops blocking at the deadline.
     pub default_deadline: Option<Duration>,
     /// Bounded retries for a failed journal append before the
@@ -107,8 +109,8 @@ pub struct GatewayConfig {
     /// Deterministic fault injection for the chaos harness (`None` in
     /// production; see [`FaultPlan`]).
     pub faults: Option<FaultPlan>,
-    /// How often the supervisor thread checks worker liveness (executor
-    /// respawn latency and scheduler-watchdog reaction time).
+    /// How often the supervisor thread checks executor liveness (the
+    /// respawn latency after a batch panic).
     pub supervisor_poll: Duration,
     /// Which fabric shard this gateway is (0 for a standalone gateway).
     /// Purely observational: stamped into [`TelemetrySnapshot::shard`] so a
@@ -125,13 +127,12 @@ pub struct GatewayConfig {
 }
 
 impl Default for GatewayConfig {
-    /// 32-request batches, a 1 ms flush deadline, 1024 in-flight requests,
+    /// 32-request batches, 1024 in-flight requests,
     /// one executor, no journaling, no deadlines, 2 journal retries with
     /// fail-stop, no health controller, no faults, 2 ms supervisor poll.
     fn default() -> Self {
         Self {
             max_batch: 32,
-            max_delay: Duration::from_millis(1),
             queue_capacity: 1024,
             executors: 1,
             journal: None,
@@ -149,15 +150,9 @@ impl Default for GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Overrides the batch-size flush threshold (clamped ≥ 1).
+    /// Overrides the largest batch an executor takes (clamped ≥ 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Overrides the flush deadline.
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
         self
     }
 
@@ -252,16 +247,13 @@ pub enum GatewayError {
         retry_after_us: u64,
     },
     /// The request's deadline passed before it could be priced (expired by
-    /// the scheduler, or reported by a deadline-aware
+    /// the executor that popped it, or reported by a deadline-aware
     /// [`QuoteTicket::wait`]).
     DeadlineExceeded,
     /// The executor pricing this request's batch panicked; only that
     /// batch's requests fail with this error, and the supervisor respawns
     /// the executor.
     ExecutorFailed,
-    /// The scheduler thread died; the watchdog failed this pending request
-    /// instead of letting its ticket hang.
-    SchedulerStalled,
     /// The request's feature block has the wrong width for the policy
     /// (checked at submission, before anything is enqueued).
     BadFeatureBlock {
@@ -299,9 +291,6 @@ impl fmt::Display for GatewayError {
             GatewayError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             GatewayError::ExecutorFailed => {
                 write!(f, "executor panicked while pricing the request's batch")
-            }
-            GatewayError::SchedulerStalled => {
-                write!(f, "gateway scheduler stalled; request failed by watchdog")
             }
             GatewayError::BadFeatureBlock {
                 session,
@@ -479,7 +468,8 @@ impl Drop for Pending {
 }
 
 /// The bounded ingress queue (bounded via the shared in-flight gauge, so
-/// the bound covers queued *and* executing requests).
+/// the bound covers queued *and* executing requests). Executors pop their
+/// batches straight off it.
 #[derive(Default)]
 struct IngressQueue {
     inner: Mutex<IngressInner>,
@@ -490,6 +480,8 @@ struct IngressQueue {
 struct IngressInner {
     queue: VecDeque<Pending>,
     closed: bool,
+    /// Index the next popped batch gets (pop order).
+    next_batch: u64,
 }
 
 impl IngressQueue {
@@ -511,109 +503,18 @@ impl IngressQueue {
         self.not_empty.notify_all();
     }
 
-    /// Removes and returns everything still queued (watchdog / shutdown
-    /// sweep).
+    /// Removes and returns everything still queued (shutdown sweep).
     fn drain_all(&self) -> Vec<Pending> {
         let mut inner = self.inner.lock().expect("ingress poisoned");
         inner.queue.drain(..).collect()
     }
-
-    /// The scheduler's blocking micro-batch drain: waits for a first
-    /// request, then keeps draining until the batch holds `max_batch`
-    /// requests or `max_delay` has passed since the first one arrived —
-    /// whichever comes first. Returns `None` only when the queue is closed
-    /// *and* fully drained.
-    fn pop_batch(&self, max_batch: usize, max_delay: Duration) -> Option<Vec<Pending>> {
-        let mut inner = self.inner.lock().expect("ingress poisoned");
-        // Phase 1: wait for the batch's first request.
-        while inner.queue.is_empty() {
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("ingress poisoned");
-        }
-        let deadline = Instant::now() + max_delay;
-        let mut batch = Vec::with_capacity(max_batch.min(inner.queue.len()));
-        // Phase 2: drain until full or the deadline fires.
-        loop {
-            while batch.len() < max_batch {
-                match inner.queue.pop_front() {
-                    Some(pending) => batch.push(pending),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || inner.closed {
-                return Some(batch);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(batch);
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("ingress poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.queue.is_empty() {
-                return Some(batch);
-            }
-        }
-    }
 }
 
-/// One flushed micro-batch with its scheduler-assigned index (flush order;
-/// the unit fault injection and executor supervision reason about).
+/// One popped batch with its index (pop order; the unit fault injection
+/// reasons about).
 struct Batch {
     index: u64,
     items: Vec<Pending>,
-}
-
-/// The scheduler → executor batch queue (unbounded; its length is already
-/// bounded by admission control upstream).
-#[derive(Default)]
-struct BatchQueue {
-    inner: Mutex<BatchInner>,
-    not_empty: Condvar,
-}
-
-#[derive(Default)]
-struct BatchInner {
-    queue: VecDeque<Batch>,
-    closed: bool,
-}
-
-impl BatchQueue {
-    fn push(&self, batch: Batch) {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        inner.queue.push_back(batch);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("batch queue poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Removes and returns every undrained batch (shutdown sweep after the
-    /// executors are gone).
-    fn drain_all(&self) -> Vec<Batch> {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        inner.queue.drain(..).collect()
-    }
-
-    fn pop(&self) -> Option<Batch> {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        loop {
-            if let Some(batch) = inner.queue.pop_front() {
-                return Some(batch);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("batch queue poisoned");
-        }
-    }
 }
 
 /// A wakeable shutdown latch the supervisor sleeps on, so shutdown never
@@ -649,24 +550,14 @@ impl ShutdownGate {
     }
 }
 
-/// The worker thread handles, owned behind a lock so the supervisor can
-/// reap and respawn executors while the gateway handle is elsewhere.
-#[derive(Default)]
-struct Workers {
-    scheduler: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
-}
-
-/// State shared by the gateway handle, the scheduler, the executors and
-/// the supervisor. The admission counter lives inside [`Telemetry`] (it
-/// doubles as the queue-depth gauge), so there is exactly one in-flight
-/// count.
+/// State shared by the gateway handle, the executors and the supervisor.
+/// The admission counter lives inside [`Telemetry`] (it doubles as the
+/// queue-depth gauge), so there is exactly one in-flight count.
 struct Shared {
     service: Arc<PricingService>,
     config: GatewayConfig,
     telemetry: Arc<Telemetry>,
     ingress: IngressQueue,
-    batches: BatchQueue,
     /// The admission journal, when configured. The mutex is held across
     /// `append` *and* the ingress push, so on-disk frame order is exactly
     /// the order requests entered the pipeline.
@@ -679,12 +570,9 @@ struct Shared {
     faults: Option<FaultState>,
     /// The degradation-ladder controller, if configured.
     health: Option<HealthController>,
-    /// Set (before anything else) by shutdown; workers and the supervisor
+    /// Set (before anything else) by shutdown; executors and the supervisor
     /// treat every finished thread as normal wind-down from here on.
     shutting_down: AtomicBool,
-    /// Set by the watchdog when the scheduler died outside shutdown;
-    /// submissions are rejected with [`GatewayError::SchedulerStalled`].
-    scheduler_failed: AtomicBool,
     /// Set when live service state stopped matching the journal's frame
     /// sequence (a batch panicked after its frames were journaled, a
     /// deadline expired a journaled request, a journal append was
@@ -700,7 +588,9 @@ struct Shared {
     admit_seq: AtomicU64,
     /// Wakes the supervisor out of its poll sleep at shutdown.
     gate: ShutdownGate,
-    workers: Mutex<Workers>,
+    /// The executor thread handles, behind a lock so the supervisor can
+    /// reap and respawn executors while the gateway handle is elsewhere.
+    executors: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -714,6 +604,64 @@ impl Shared {
     /// clock is not advanced by untraced requests.
     fn trace_now(&self) -> u64 {
         self.tracer.as_ref().map_or(0, Tracer::now_us)
+    }
+
+    /// An executor's batch pop: blocks until the ingress queue is
+    /// non-empty, then takes whatever is queued, up to `max_batch`, and
+    /// returns at once. Under the ingress lock it expires requests whose
+    /// deadline has passed, books and stamps the batch, and numbers it, so
+    /// batch indices follow pop order with any number of executors.
+    /// Returns `None` only when the queue is closed *and* fully drained.
+    fn pop_batch(&self) -> Option<Batch> {
+        let mut inner = self.ingress.inner.lock().expect("ingress poisoned");
+        loop {
+            while inner.queue.is_empty() {
+                if inner.closed {
+                    return None;
+                }
+                inner = self
+                    .ingress
+                    .not_empty
+                    .wait(inner)
+                    .expect("ingress poisoned");
+            }
+            let take = inner.queue.len().min(self.config.max_batch);
+            let now = Instant::now();
+            let mut items = Vec::with_capacity(take);
+            for pending in inner.queue.drain(..take) {
+                // Work that can no longer meet its deadline is failed here
+                // instead of wasting an executor slot.
+                if pending.deadline.is_some_and(|d| now >= d) {
+                    // The request may already be journaled: live state no
+                    // longer tracks the journal frame-for-frame.
+                    self.mark_diverged();
+                    if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
+                        pending.telemetry.record_expired();
+                    }
+                } else {
+                    items.push(pending);
+                }
+            }
+            if items.is_empty() {
+                continue;
+            }
+            self.telemetry.record_batch(items.len());
+            // One batch-formed stamp shared by every traced request in the
+            // batch (they left the queue together); untraced batches never
+            // touch the tracer clock.
+            let mut formed_ts = 0u64;
+            for pending in items.iter_mut() {
+                if let Some(trace) = pending.trace.as_mut() {
+                    if formed_ts == 0 {
+                        formed_ts = self.trace_now();
+                    }
+                    trace.batch_formed_us = formed_ts;
+                }
+            }
+            let index = inner.next_batch;
+            inner.next_batch += 1;
+            return Some(Batch { index, items });
+        }
     }
 }
 
@@ -733,9 +681,8 @@ impl fmt::Debug for Gateway {
 }
 
 impl Gateway {
-    /// Starts a gateway over a shared frozen [`PricingService`]: spawns the
-    /// scheduler thread, `config.executors` executor threads and the
-    /// supervisor.
+    /// Starts a gateway over a shared frozen [`PricingService`]: spawns
+    /// `config.executors` executor threads and the supervisor.
     ///
     /// # Panics
     ///
@@ -773,36 +720,22 @@ impl Gateway {
             config,
             telemetry: Arc::new(Telemetry::new()),
             ingress: IngressQueue::default(),
-            batches: BatchQueue::default(),
             journal,
             frames_processed: AtomicU64::new(0),
             faults,
             health,
             shutting_down: AtomicBool::new(false),
-            scheduler_failed: AtomicBool::new(false),
             pipeline_diverged: AtomicBool::new(false),
             tracer,
             stages: StageHistograms::new(),
             admit_seq: AtomicU64::new(0),
             gate: ShutdownGate::default(),
-            workers: Mutex::new(Workers::default()),
+            executors: Mutex::new(Vec::new()),
         });
 
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vtm-gateway-scheduler".to_string())
-                .spawn(move || scheduler_loop(&shared))
-                .expect("spawn scheduler")
-        };
-        let executors = (0..executor_count)
+        *shared.executors.lock().expect("executors poisoned") = (0..executor_count)
             .map(|i| spawn_executor(&shared, format!("vtm-gateway-executor-{i}")))
             .collect();
-        {
-            let mut workers = shared.workers.lock().expect("workers poisoned");
-            workers.scheduler = Some(scheduler);
-            workers.executors = executors;
-        }
         let supervisor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -840,9 +773,7 @@ impl Gateway {
     /// [`GatewayError::Overloaded`] when `queue_capacity` requests are
     /// already in flight (backpressure — retry later),
     /// [`GatewayError::Journal`] when journaling fails under the fail-stop
-    /// policy, [`GatewayError::SchedulerStalled`] after the watchdog
-    /// declared the scheduler dead, and [`GatewayError::ShutDown`] after
-    /// shutdown.
+    /// policy, and [`GatewayError::ShutDown`] after shutdown.
     pub fn submit(&self, request: QuoteRequest) -> Result<QuoteTicket, GatewayError> {
         let expected = self.shared.service.config().features_per_round;
         if request.features.len() != expected {
@@ -852,11 +783,8 @@ impl Gateway {
                 got: request.features.len(),
             });
         }
-        if self.shared.scheduler_failed.load(Ordering::Acquire) {
-            return Err(GatewayError::SchedulerStalled);
-        }
-        // The degradation ladder is evaluated on the submit path: the
-        // scheduler may legitimately be parked inside its batch drain, so
+        // The degradation ladder is evaluated on the submit path: every
+        // executor may legitimately be busy inside a long batch, so
         // submissions drive the controller.
         if let Some(health) = &self.shared.health {
             let depth = self.shared.telemetry.in_flight();
@@ -986,13 +914,8 @@ impl Gateway {
             }
         };
         if let Some(pending) = rejected {
-            let err = if self.shared.scheduler_failed.load(Ordering::Acquire) {
-                GatewayError::SchedulerStalled
-            } else {
-                GatewayError::ShutDown
-            };
-            pending.abort(err.clone());
-            return Err(err);
+            pending.abort(GatewayError::ShutDown);
+            return Err(GatewayError::ShutDown);
         }
         Ok(QuoteTicket { state, deadline })
     }
@@ -1107,33 +1030,18 @@ impl Gateway {
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
         }
-        let (scheduler, executors) = {
-            let mut workers = self.shared.workers.lock().expect("workers poisoned");
-            (
-                workers.scheduler.take(),
-                std::mem::take(&mut workers.executors),
-            )
-        };
-        if let Some(handle) = scheduler {
-            let _ = handle.join();
-        }
-        // A scheduler that died before the watchdog noticed never closed
-        // the batch queue; close it now (idempotent — queued batches are
-        // still drained) so executors can wind down.
-        self.shared.batches.close();
+        // Executors drain the closed queue, then exit.
+        let executors =
+            std::mem::take(&mut *self.shared.executors.lock().expect("executors poisoned"));
         for handle in executors {
             let _ = handle.join();
         }
-        // Final sweep: every worker is gone, so anything still queued can
-        // never be priced — fail it with a typed error instead of leaking
-        // the tickets (and their admission slots).
+        // Final sweep: every executor is gone (a panicked one may never have
+        // been respawned), so anything still queued can never be priced —
+        // fail it with a typed error instead of leaking the tickets (and
+        // their admission slots).
         for pending in self.shared.ingress.drain_all() {
             pending.fail(GatewayError::ShuttingDown);
-        }
-        for batch in self.shared.batches.drain_all() {
-            for pending in &batch.items {
-                pending.fail(GatewayError::ShuttingDown);
-            }
         }
         // Make the journal crash-durable before reporting shutdown complete:
         // every admitted request has been processed (or typed-failed), so
@@ -1161,70 +1069,12 @@ fn spawn_executor(shared: &Arc<Shared>, name: String) -> JoinHandle<()> {
         .expect("spawn executor")
 }
 
-/// Scheduler thread: expire stale requests, then drain micro-batches off
-/// the ingress queue until it is closed and empty, then close the batch
-/// queue so executors wind down.
-fn scheduler_loop(shared: &Shared) {
-    let max_batch = shared.config.max_batch;
-    let max_delay = shared.config.max_delay;
-    let mut next_index = 0u64;
-    loop {
-        if let Some(faults) = &shared.faults {
-            if faults.next_scheduler_iteration() {
-                panic!("injected scheduler panic");
-            }
-        }
-        let Some(drained) = shared.ingress.pop_batch(max_batch, max_delay) else {
-            break;
-        };
-        // Deadline expiry before batch formation: work that can no longer
-        // meet its deadline is failed here instead of wasting an executor
-        // slot (and, under load shedding, instead of growing the backlog).
-        let now = Instant::now();
-        let mut batch = Vec::with_capacity(drained.len());
-        for pending in drained {
-            if pending.deadline.is_some_and(|d| now >= d) {
-                // The request may already be journaled: live state no
-                // longer tracks the journal frame-for-frame.
-                shared.mark_diverged();
-                if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
-                    pending.telemetry.record_expired();
-                }
-            } else {
-                batch.push(pending);
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        shared.telemetry.record_batch(batch.len());
-        // One batch-formed stamp shared by every traced request in the
-        // batch (they left the queue together); untraced batches never
-        // touch the tracer clock.
-        let mut formed_ts = 0u64;
-        for pending in batch.iter_mut() {
-            if let Some(trace) = pending.trace.as_mut() {
-                if formed_ts == 0 {
-                    formed_ts = shared.trace_now();
-                }
-                trace.batch_formed_us = formed_ts;
-            }
-        }
-        shared.batches.push(Batch {
-            index: next_index,
-            items: batch,
-        });
-        next_index += 1;
-    }
-    shared.batches.close();
-}
-
-/// Executor thread: price whole batches against the shared frozen service
-/// and resolve every ticket. Batches run under `catch_unwind`: a panic
-/// fails only that batch's tickets, then the thread exits and the
-/// supervisor respawns it.
+/// Executor thread: pop batches off the ingress queue, price each against
+/// the shared frozen service and resolve every ticket. Batches run under
+/// `catch_unwind`: a panic fails only that batch's tickets, then the thread
+/// exits and the supervisor respawns it.
 fn executor_loop(shared: &Shared) {
-    while let Some(batch) = shared.batches.pop() {
+    while let Some(batch) = shared.pop_batch() {
         if !run_batch(shared, batch) {
             // Deliberate die-and-respawn: a panicked executor's internal
             // state is suspect, so the supervisor replaces the thread.
@@ -1321,45 +1171,19 @@ fn run_batch(shared: &Shared, mut batch: Batch) -> bool {
     }
 }
 
-/// Supervisor thread: reaps and respawns panicked executors, and watches
-/// the scheduler — if it dies outside shutdown, pending tickets are failed
-/// (typed) instead of hanging forever.
+/// Supervisor thread: reaps and respawns executors that died from a batch
+/// panic.
 fn supervisor_loop(shared: &Arc<Shared>) {
     let mut respawned = 0u64;
     loop {
         if shared.gate.wait(shared.config.supervisor_poll) {
-            // Shutdown owns joining the workers from here.
+            // Shutdown owns joining the executors from here.
             return;
         }
-        // Scheduler watchdog.
-        let scheduler_finished = {
-            let workers = shared.workers.lock().expect("workers poisoned");
-            workers
-                .scheduler
-                .as_ref()
-                .is_some_and(|handle| handle.is_finished())
-        };
-        if scheduler_finished && !shared.shutting_down.load(Ordering::Acquire) {
-            let handle = shared
-                .workers
-                .lock()
-                .expect("workers poisoned")
-                .scheduler
-                .take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            on_scheduler_death(shared);
-        }
-        if shared.scheduler_failed.load(Ordering::Acquire) {
-            // No respawns after scheduler death: the queues are closed and
-            // surviving executors are draining what remains.
-            continue;
-        }
-        // Executor supervision: a finished executor outside shutdown died
-        // from a batch panic — replace it.
-        let mut workers = shared.workers.lock().expect("workers poisoned");
-        for slot in workers.executors.iter_mut() {
+        // A finished executor outside shutdown died from a batch panic —
+        // replace it.
+        let mut executors = shared.executors.lock().expect("executors poisoned");
+        for slot in executors.iter_mut() {
             if slot.is_finished() && !shared.shutting_down.load(Ordering::Acquire) {
                 let name = format!("vtm-gateway-executor-r{respawned}");
                 respawned += 1;
@@ -1369,21 +1193,6 @@ fn supervisor_loop(shared: &Arc<Shared>) {
             }
         }
     }
-}
-
-/// The watchdog path: the scheduler died outside shutdown. Fail everything
-/// it stranded, close the pipeline so executors wind down, and reject
-/// future submissions with a typed error.
-fn on_scheduler_death(shared: &Shared) {
-    shared.scheduler_failed.store(true, Ordering::Release);
-    shared.mark_diverged();
-    shared.telemetry.record_watchdog_fire();
-    shared.ingress.close();
-    for pending in shared.ingress.drain_all() {
-        pending.fail(GatewayError::SchedulerStalled);
-    }
-    // Executors still drain already-flushed batches, then exit.
-    shared.batches.close();
 }
 
 /// Executor-side periodic snapshotting: after a batch completes, capture
@@ -1446,7 +1255,6 @@ mod tests {
             .with_max_batch(0)
             .with_queue_capacity(0)
             .with_executors(0)
-            .with_max_delay(Duration::from_micros(250))
             .with_default_deadline(Duration::from_millis(5))
             .with_journal_retries(3)
             .with_journal_backoff(Duration::from_micros(50))
@@ -1455,7 +1263,6 @@ mod tests {
         assert_eq!(config.max_batch, 1);
         assert_eq!(config.queue_capacity, 1);
         assert_eq!(config.executors, 1);
-        assert_eq!(config.max_delay, Duration::from_micros(250));
         assert_eq!(config.default_deadline, Some(Duration::from_millis(5)));
         assert_eq!(config.journal_retries, 3);
         assert_eq!(config.journal_backoff, Duration::from_micros(50));
@@ -1477,7 +1284,6 @@ mod tests {
             GatewayError::Shed { retry_after_us: 9 },
             GatewayError::DeadlineExceeded,
             GatewayError::ExecutorFailed,
-            GatewayError::SchedulerStalled,
             GatewayError::BadFeatureBlock {
                 session: 1,
                 expected: 2,

@@ -5,17 +5,18 @@
 //! gets quotes back. A deployed MSP front-end faces the opposite shape —
 //! many independent VMU clients, each submitting one request at an
 //! arbitrary time, expecting one answer under a latency budget. This crate
-//! closes that gap with a thread-per-stage gateway (plain `std` threads,
+//! closes that gap with a one-hop gateway (plain `std` threads,
 //! `Mutex`/`Condvar` and atomics — no async runtime):
 //!
-//! * **dynamic micro-batching** — a scheduler thread drains submissions
-//!   into batches, flushing on `max_batch` *or* `max_delay` after the first
-//!   request, whichever comes first; under load batches fill instantly
-//!   (throughput), under trickle traffic the deadline caps added latency;
-//! * **executor pool** — flushed batches are priced by `N` executor
-//!   threads sharing one frozen `Arc<PricingService>` via the
-//!   zero-copy batch-slice entry point
-//!   ([`quote_refs`](vtm_serve::PricingService::quote_refs));
+//! * **self-batching executors** — `N` executor threads pop their own
+//!   batches straight off the ingress queue: each blocks until the queue
+//!   is non-empty, takes whatever is queued (up to `max_batch`) at once
+//!   and prices it against one shared frozen `Arc<PricingService>` via
+//!   the zero-copy batch-slice entry point
+//!   ([`quote_refs`](vtm_serve::PricingService::quote_refs)). There is no
+//!   flush timer: a lone request is priced the moment an executor is
+//!   free, and requests that arrive while every executor is busy form the
+//!   next batch, so batch size grows with load;
 //! * **admission control** — at most `queue_capacity` requests may be in
 //!   flight; submissions beyond that are rejected immediately with
 //!   [`GatewayError::Overloaded`] (backpressure) instead of growing queues
@@ -41,11 +42,9 @@
 //! The gateway is supervised: executors price batches under
 //! `catch_unwind`, so a panicked batch fails only its own tickets
 //! ([`GatewayError::ExecutorFailed`]) and the supervisor thread respawns
-//! the executor; a watchdog detects a dead scheduler and fails pending
-//! tickets ([`GatewayError::SchedulerStalled`]) instead of hanging them.
-//! Requests can carry deadlines
-//! ([`GatewayConfig::with_default_deadline`]) — the scheduler expires
-//! stale queued work before batch formation and
+//! the executor. Requests can carry deadlines
+//! ([`GatewayConfig::with_default_deadline`]) — the executor that pops
+//! stale queued work expires it instead of pricing it, and
 //! [`QuoteTicket::wait`] stops blocking at the deadline. An optional
 //! three-state health controller ([`HealthConfig`], Healthy → Shedding →
 //! Degraded) sheds load with a computed `retry_after` hint and, when
@@ -54,12 +53,12 @@
 //! retry-with-backoff and an explicit [`JournalBypassPolicy`], so a bad
 //! disk cannot freeze admission. All of it is testable deterministically:
 //! a seeded [`FaultPlan`] ([`GatewayConfig::with_faults`]) injects
-//! executor panics, scheduler panics, journal i/o errors and artificial
-//! batch latency at exact, reproducible points.
+//! executor panics, journal i/o errors and artificial batch latency at
+//! exact, reproducible points.
 //!
 //! The liveness invariant is structural: every admitted request resolves
-//! its ticket exactly once — on completion, failure, expiry, watchdog
-//! sweep or shutdown — so no [`QuoteTicket::wait`] blocks forever under
+//! its ticket exactly once — on completion, failure, expiry or shutdown
+//! sweep — so no [`QuoteTicket::wait`] blocks forever under
 //! any injected fault.
 //!
 //! # Determinism contract
@@ -67,7 +66,7 @@
 //! With a **single executor** and **greedy** inference, gateway output for
 //! a given request sequence is bit-identical to calling
 //! [`PricingService::quote_batch`](vtm_serve::PricingService::quote_batch)
-//! on the same sequence, *no matter how the scheduler happens to slice it
+//! on the same sequence, *no matter how the executor happens to slice it
 //! into batches*: per-session history updates apply in submission order
 //! (single FIFO ingress), batch assembly never changes a forward pass's
 //! row values, and greedy quotes depend only on the assembled observation.

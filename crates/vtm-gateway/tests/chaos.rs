@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vtm_gateway::{
-    FaultPlan, Gateway, GatewayConfig, GatewayError, HealthConfig, JournalBypassPolicy,
+    FaultPlan, Gateway, GatewayConfig, GatewayError, HealthConfig, JournalBypassPolicy, QuoteTicket,
 };
 use vtm_journal::{scan_journal, JournalOptions, ScanMode};
 use vtm_rl::env::ActionSpace;
@@ -52,7 +52,7 @@ fn cleanup(journal: &PathBuf) {
 }
 
 /// Polls `cond` until it holds or `timeout` elapses; returns the final
-/// evaluation (async fault handling — supervisor respawns, watchdog fires —
+/// evaluation (async fault handling — supervisor respawns, batch pops —
 /// settles within milliseconds, but never at an exact instant).
 fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
@@ -81,10 +81,19 @@ fn reference_digest(snap: &PolicySnapshot, reqs: &[QuoteRequest]) -> u64 {
 /// waited submission, batch index N is exactly request N, so fault plans
 /// target specific requests deterministically.
 fn serial_config() -> GatewayConfig {
-    GatewayConfig::default()
-        .with_executors(1)
-        .with_max_batch(1)
-        .with_max_delay(Duration::from_micros(100))
+    GatewayConfig::default().with_executors(1).with_max_batch(1)
+}
+
+/// Submits `blocker` into a single-executor gateway whose fault plan holds
+/// batch 0, and returns once the executor has popped it: everything
+/// submitted afterwards is parked in the ingress queue until the hold ends.
+fn hold_executor(gateway: &Gateway, blocker: QuoteRequest) -> QuoteTicket {
+    let ticket = gateway.submit(blocker).unwrap();
+    assert!(
+        eventually(Duration::from_secs(10), || gateway.telemetry().batches == 1),
+        "the executor must pop the blocker as batch 0"
+    );
+    ticket
 }
 
 /// Executor panic mid-run: only the panicked batch's ticket fails, the
@@ -144,7 +153,6 @@ fn deadline_storm_expires_every_request_with_exact_counters() {
         GatewayConfig::default()
             .with_executors(1)
             .with_max_batch(32)
-            .with_max_delay(Duration::from_millis(1))
             .with_default_deadline(Duration::ZERO),
     );
     let tickets: Vec<_> = requests(6)
@@ -159,7 +167,7 @@ fn deadline_storm_expires_every_request_with_exact_counters() {
     }
     assert!(
         eventually(Duration::from_secs(10), || gateway.telemetry().expired == 6),
-        "scheduler must expire all six requests"
+        "the executor must expire all six requests"
     );
     let stats = gateway.shutdown();
     assert_eq!(stats.expired, 6);
@@ -170,32 +178,39 @@ fn deadline_storm_expires_every_request_with_exact_counters() {
 }
 
 /// Deadline-aware `wait`: the caller unblocks at the deadline even while
-/// the request is still parked in the forming batch, and the pipeline
+/// the request is still parked behind a slow batch, and the pipeline
 /// expires the request on its own afterwards — nothing leaks.
 #[test]
 fn wait_unblocks_at_the_deadline_before_the_pipeline_resolves() {
     let gateway = Gateway::start(
         fresh_service(&policy(73)),
         GatewayConfig::default()
+            .with_executors(1)
             .with_max_batch(64)
-            .with_max_delay(Duration::from_millis(300))
-            .with_default_deadline(Duration::from_millis(30)),
+            .with_default_deadline(Duration::from_millis(30))
+            .with_faults(FaultPlan::new(8).with_batch_delay(Duration::from_millis(300), 1)),
     );
-    let ticket = gateway.submit(requests(1).pop().unwrap()).unwrap();
+    let mut reqs = requests(2);
+    // Batch 0 holds the executor for 300ms; the blocker was popped before
+    // its deadline, so it is priced (late) rather than expired.
+    let blocker = hold_executor(&gateway, reqs.remove(0));
+    let ticket = gateway.submit(reqs.remove(0)).unwrap();
     let started = Instant::now();
     assert_eq!(ticket.wait(), Err(GatewayError::DeadlineExceeded));
     assert!(
         started.elapsed() < Duration::from_millis(250),
-        "wait must unblock at the 30ms deadline, not the 300ms flush"
+        "wait must unblock at the 30ms deadline, not when the 300ms batch ahead ends"
     );
     assert!(
         eventually(Duration::from_secs(10), || gateway.telemetry().expired == 1),
-        "the scheduler must expire the parked request on its own"
+        "the executor must expire the parked request on its own"
     );
+    assert!(blocker.wait().is_ok());
     let stats = gateway.shutdown();
+    // Completed counts only the blocker: the parked request expired.
     assert_eq!(
         (stats.expired, stats.completed, stats.queue_depth),
-        (1, 0, 0)
+        (1, 1, 0)
     );
 }
 
@@ -342,48 +357,6 @@ fn journal_retries_heal_transient_errors_without_losing_frames() {
     cleanup(&journal);
 }
 
-/// Scheduler death: the watchdog fails every stranded ticket with a typed
-/// error instead of hanging them, and later submissions are rejected.
-#[test]
-fn watchdog_fails_pending_tickets_when_the_scheduler_dies() {
-    let service = fresh_service(&policy(77));
-    let gateway = Gateway::start(
-        Arc::clone(&service),
-        GatewayConfig::default()
-            .with_executors(1)
-            .with_supervisor_poll(Duration::from_millis(1))
-            .with_faults(FaultPlan::new(5).with_scheduler_panic(0)),
-    );
-    // The scheduler panics on its very first iteration, before draining
-    // anything; these submissions land in the ingress queue.
-    let tickets: Vec<_> = requests(3)
-        .into_iter()
-        .filter_map(|req| gateway.submit(req).ok())
-        .collect();
-    for ticket in &tickets {
-        let result = ticket
-            .wait_timeout(Duration::from_secs(30))
-            .expect("liveness: the watchdog must resolve stranded tickets");
-        assert_eq!(result, Err(GatewayError::SchedulerStalled));
-    }
-    assert!(
-        eventually(Duration::from_secs(10), || {
-            gateway.telemetry().watchdog_fires == 1
-        }),
-        "the watchdog must fire exactly once"
-    );
-    assert!(matches!(
-        gateway.submit(requests(1).pop().unwrap()),
-        Err(GatewayError::SchedulerStalled)
-    ));
-    let stats = gateway.shutdown();
-    assert_eq!(stats.watchdog_fires, 1);
-    assert_eq!(stats.failed, tickets.len() as u64);
-    assert_eq!(stats.completed, 0);
-    assert_eq!(stats.queue_depth, 0);
-    assert_eq!(service.stats().quotes, 0);
-}
-
 /// Shutdown under a dead executor pool: queued batches that can no longer
 /// be priced are failed with `ShuttingDown` — and a ticket that already
 /// timed out in `wait_timeout` stays waitable and receives that error too
@@ -437,14 +410,16 @@ fn depth_crossing_sheds_submissions_with_a_retry_hint() {
         Arc::clone(&service),
         GatewayConfig::default()
             .with_executors(1)
-            // Park admitted requests in the forming batch.
             .with_max_batch(64)
-            .with_max_delay(Duration::from_secs(30))
             .with_queue_capacity(8)
-            .with_health(HealthConfig::default().with_shed_depth(0.5)),
+            .with_health(HealthConfig::default().with_shed_depth(0.5))
+            // Hold the executor in batch 0 so admitted requests stay in
+            // flight while the test crosses the threshold.
+            .with_faults(FaultPlan::new(9).with_batch_delay(Duration::from_millis(500), 1)),
     );
     let reqs = requests(6);
-    for req in &reqs[..4] {
+    hold_executor(&gateway, reqs[0].clone());
+    for req in &reqs[1..4] {
         gateway.submit(req.clone()).unwrap();
     }
     // Depth 4 of capacity 8 crosses the 0.5 shed threshold.
@@ -454,7 +429,7 @@ fn depth_crossing_sheds_submissions_with_a_retry_hint() {
             other => panic!("expected Shed, got {other:?}"),
         }
     }
-    let stats = gateway.shutdown(); // flushes and prices the parked four
+    let stats = gateway.shutdown(); // prices the blocker and the parked three
     assert_eq!(stats.shed, 2);
     assert_eq!(stats.submitted, 4, "shed requests never consume a slot");
     assert_eq!(stats.completed, 4);

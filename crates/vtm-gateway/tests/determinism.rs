@@ -1,12 +1,12 @@
 //! Gateway acceptance tests: the determinism contract (single-executor
 //! greedy gateway ≡ direct `PricingService::quote_batch`, pinned by FNV
-//! digests across batching configurations), micro-batch flush behaviour,
+//! digests across batching configurations), self-batching behaviour,
 //! admission control and concurrent-ingress completeness.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use vtm_gateway::{Gateway, GatewayConfig, GatewayError};
+use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, GatewayError, QuoteTicket};
 use vtm_rl::env::ActionSpace;
 use vtm_rl::ppo::{PpoAgent, PpoConfig};
 use vtm_rl::snapshot::PolicySnapshot;
@@ -69,6 +69,29 @@ fn fnv_digest(words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
+/// Submits `blocker` into a single-executor gateway whose fault plan holds
+/// batch 0, and returns once the executor has popped it: everything
+/// submitted afterwards is parked in the ingress queue until the hold ends.
+fn hold_executor(gateway: &Gateway, blocker: QuoteRequest) -> QuoteTicket {
+    let ticket = gateway.submit(blocker).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while gateway.telemetry().batches < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the executor must pop the blocker as batch 0"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    ticket
+}
+
+/// A single-executor gateway whose first batch sleeps `hold` before pricing.
+fn held_config(hold: Duration) -> GatewayConfig {
+    GatewayConfig::default()
+        .with_executors(1)
+        .with_faults(FaultPlan::new(1).with_batch_delay(hold, 1))
+}
+
 fn quotes_digest(quotes: &[Quote]) -> u64 {
     fnv_digest(quotes.iter().flat_map(|q| {
         std::iter::once(q.session)
@@ -121,7 +144,7 @@ fn gateway_outcome(
 /// gateway replay of a request sequence is indistinguishable from direct
 /// `PricingService::quote_batch` calls — not just quote-for-quote, but in
 /// the *complete* service state: session histories, LRU/TTL bookkeeping,
-/// eviction and expiry counters — regardless of how the scheduler slices
+/// eviction and expiry counters — regardless of how the executor slices
 /// the stream into micro-batches.
 #[test]
 fn single_executor_greedy_gateway_matches_quote_batch_digest() {
@@ -148,15 +171,14 @@ fn single_executor_greedy_gateway_matches_quote_batch_digest() {
     );
 
     // Gateway under several batching configs: full outcomes must agree.
-    for (max_batch, delay_us) in [(1, 0), (3, 200), (9, 1000), (64, 50)] {
+    for max_batch in [1, 3, 9, 64] {
         let config = GatewayConfig::default()
             .with_executors(1)
-            .with_max_batch(max_batch)
-            .with_max_delay(Duration::from_micros(delay_us));
+            .with_max_batch(max_batch);
         assert_eq!(
             gateway_outcome(config, pressured_config(), &stream),
             reference_outcome,
-            "gateway (max_batch {max_batch}, delay {delay_us}us) diverged from quote_batch"
+            "gateway (max_batch {max_batch}) diverged from quote_batch"
         );
     }
 }
@@ -185,11 +207,10 @@ fn single_executor_greedy_f32_gateway_matches_f32_quote_batch_digest() {
     };
     assert!(reference_outcome.service_stats.evicted > 0);
 
-    for (max_batch, delay_us) in [(1, 0), (9, 1000)] {
+    for max_batch in [1, 9] {
         let config = GatewayConfig::default()
             .with_executors(1)
-            .with_max_batch(max_batch)
-            .with_max_delay(Duration::from_micros(delay_us));
+            .with_max_batch(max_batch);
         assert_eq!(
             gateway_outcome(config, f32_config(), &stream),
             reference_outcome,
@@ -206,24 +227,26 @@ fn single_executor_greedy_f32_gateway_matches_f32_quote_batch_digest() {
     assert!(stats.to_json().contains("\"precision\": \"f32\""));
 }
 
-/// A full batch flushes immediately — well before a long deadline.
+/// A backlog is taken in full `max_batch` batches the moment the executor
+/// is free — no request waits for a flush deadline.
 #[test]
 fn full_batches_flush_before_the_deadline() {
     let gateway = Gateway::start(
         service(&snapshot(3)),
-        GatewayConfig::default()
-            .with_max_batch(4)
-            .with_max_delay(Duration::from_secs(30)),
+        held_config(Duration::from_millis(50)).with_max_batch(4),
     );
     let stream = request_stream(1, 8);
-    let tickets: Vec<_> = stream[0]
-        .iter()
-        .map(|r| gateway.submit(r.clone()).unwrap())
-        .collect();
+    // Request 0 holds the executor; requests 1..8 queue up behind it.
+    let mut tickets = vec![hold_executor(&gateway, stream[0][0].clone())];
+    tickets.extend(
+        stream[0][1..]
+            .iter()
+            .map(|r| gateway.submit(r.clone()).unwrap()),
+    );
     for ticket in tickets {
         let quote = ticket
             .wait_timeout(Duration::from_secs(10))
-            .expect("full batches must flush without waiting for the 30s deadline")
+            .expect("full batches must be priced as soon as the executor is free")
             .unwrap();
         assert!(quote.price() >= 5.0 && quote.price() <= 50.0);
     }
@@ -234,26 +257,29 @@ fn full_batches_flush_before_the_deadline() {
         "8 requests at max_batch 4 need >= 2 batches"
     );
     assert!(stats.max_batch_size <= 4);
+    // [0], then the 7 parked requests as one full batch and the remainder.
+    assert_eq!((stats.batches, stats.max_batch_size), (3, 4));
 }
 
-/// An under-full batch flushes when `max_delay` fires.
+/// An under-full batch is taken as-is: the executor never waits for more
+/// requests to arrive.
 #[test]
 fn deadline_flushes_partial_batches() {
     let gateway = Gateway::start(
         service(&snapshot(4)),
-        GatewayConfig::default()
-            .with_max_batch(64)
-            .with_max_delay(Duration::from_millis(2)),
+        held_config(Duration::from_millis(50)).with_max_batch(64),
     );
     let stream = request_stream(1, 3);
-    let tickets: Vec<_> = stream[0]
-        .iter()
-        .map(|r| gateway.submit(r.clone()).unwrap())
-        .collect();
+    let mut tickets = vec![hold_executor(&gateway, stream[0][0].clone())];
+    tickets.extend(
+        stream[0][1..]
+            .iter()
+            .map(|r| gateway.submit(r.clone()).unwrap()),
+    );
     for ticket in tickets {
         assert!(ticket
             .wait_timeout(Duration::from_secs(10))
-            .expect("deadline must flush a 3-request batch long before 64 accumulate")
+            .expect("a 2-request batch must be priced long before 64 accumulate")
             .is_ok());
     }
     let stats = gateway.shutdown();
@@ -261,23 +287,24 @@ fn deadline_flushes_partial_batches() {
     assert!(stats.batches >= 1);
     assert!(stats.mean_batch_size <= 3.0);
     assert_eq!(stats.queue_depth, 0);
+    // [0], then both parked requests in one partial batch.
+    assert_eq!((stats.batches, stats.max_batch_size), (2, 2));
 }
 
 /// Admission control: once `queue_capacity` requests are in flight,
 /// further submissions are rejected with backpressure, not queued.
 #[test]
 fn admission_control_rejects_beyond_capacity() {
-    // A huge batch threshold plus a long deadline parks admitted requests
-    // in the forming batch, keeping them in flight deterministically.
+    // Holding the executor in batch 0 keeps admitted requests in flight
+    // deterministically.
     let gateway = Gateway::start(
         service(&snapshot(5)),
-        GatewayConfig::default()
+        held_config(Duration::from_millis(200))
             .with_max_batch(64)
-            .with_max_delay(Duration::from_secs(30))
             .with_queue_capacity(2),
     );
     let stream = request_stream(1, 3);
-    let _a = gateway.submit(stream[0][0].clone()).unwrap();
+    let _a = hold_executor(&gateway, stream[0][0].clone());
     let _b = gateway.submit(stream[0][1].clone()).unwrap();
     match gateway.submit(stream[0][2].clone()) {
         Err(GatewayError::Overloaded { queue_capacity }) => assert_eq!(queue_capacity, 2),
@@ -287,6 +314,53 @@ fn admission_control_rejects_beyond_capacity() {
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.queue_depth, 0);
+}
+
+/// Batches form while the executor is busy: requests that arrive during a
+/// forward pass are all taken by the executor's next pop.
+#[test]
+fn batches_form_while_the_executor_is_busy() {
+    let gateway = Gateway::start(
+        service(&snapshot(9)),
+        held_config(Duration::from_millis(50)),
+    );
+    let stream = request_stream(1, 9);
+    let mut tickets = vec![hold_executor(&gateway, stream[0][0].clone())];
+    tickets.extend(
+        stream[0][1..]
+            .iter()
+            .map(|r| gateway.submit(r.clone()).unwrap()),
+    );
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    let stats = gateway.shutdown();
+    assert_eq!(stats.completed, 9);
+    assert_eq!(stats.batches, 2);
+    assert_eq!(stats.max_batch_size, 8);
+}
+
+/// A lone request never waits for a flush timer: 200 sequential quotes
+/// finish in well under 1 ms each.
+#[test]
+fn a_lone_request_never_waits_for_a_flush_timer() {
+    let gateway = Gateway::start(
+        service(&snapshot(10)),
+        GatewayConfig::default().with_max_batch(64),
+    );
+    let started = Instant::now();
+    for i in 0..200u64 {
+        gateway
+            .quote(QuoteRequest::new(i % 7, vec![0.25, 0.75]))
+            .unwrap();
+    }
+    let elapsed = started.elapsed();
+    let stats = gateway.shutdown();
+    assert_eq!(stats.completed, 200);
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "200 sequential quotes took {elapsed:?}"
+    );
 }
 
 /// Malformed requests are rejected at the door with a typed error and
@@ -330,7 +404,6 @@ fn concurrent_ingress_threads_complete_everything() {
         service(&snapshot(8)),
         GatewayConfig::default()
             .with_max_batch(16)
-            .with_max_delay(Duration::from_micros(200))
             .with_executors(2)
             .with_queue_capacity(4096),
     ));

@@ -6,7 +6,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use vtm_gateway::{Gateway, GatewayConfig};
 use vtm_journal::{
@@ -74,7 +73,6 @@ fn journaled_gateway_run(journal: &PathBuf, snap: &PolicySnapshot, reqs: &[Quote
         GatewayConfig::default()
             .with_executors(1)
             .with_max_batch(8)
-            .with_max_delay(Duration::from_micros(200))
             .with_journal(
                 JournalOptions::new(journal)
                     .with_flush_every(4)
