@@ -57,11 +57,11 @@ fn bench_ppo_update(c: &mut Criterion) {
     });
 }
 
-/// Fused (allocation-free, batched) vs reference (allocating, per-sample)
+/// The two-lane update (batched kernels, actor and critic trained
+/// concurrently) vs the reference (allocating, per-sample, single-threaded)
 /// PPO update at the paper's training shapes: obs_dim 7, 64x64 MLP,
-/// mini-batch 20, M = 10 epochs over 200 samples. The acceptance target for
-/// the fused path is a >= 1.5x speedup (recorded by `bench_json` in
-/// `results/BENCH_ppo.json`).
+/// mini-batch 20, M = 10 epochs over 200 samples. The acceptance target is
+/// a >= 1.5x speedup (recorded by `bench_json` in `results/BENCH_ppo.json`).
 fn bench_ppo_update_paper_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("ppo_update");
     group.bench_function("fused_paper_shape", |b| {

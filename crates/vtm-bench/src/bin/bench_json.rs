@@ -1,9 +1,11 @@
 //! Machine-readable performance snapshot of the DRL hot paths.
 //!
 //! Writes `results/BENCH_ppo.json` with median timings of the PPO update
-//! path (fused vs reference) at the paper's training shapes and of rollout
-//! collection (serial vs vectorized), together with the shape metadata needed
-//! to compare runs, so future PRs can track the performance trajectory:
+//! path (the two-lane `update`, reported as `fused_ms`, vs the
+//! single-threaded `update_reference`) at the paper's training shapes and of
+//! rollout collection (serial vs vectorized), together with the shape
+//! metadata and the host's core count (`host.cores`) needed to compare runs:
+//! the update's two lanes run concurrently only with at least 2 cores.
 //!
 //! ```text
 //! cargo run -p vtm-bench --bin bench_json --release
@@ -13,6 +15,7 @@
 
 use std::time::Instant;
 
+use vtm_bench::timing::available_cores;
 use vtm_bench::{
     results_dir, rollout_bench_agent, update_bench_agent, update_bench_samples, FixedHorizonEnv,
 };
@@ -101,7 +104,7 @@ fn main() {
         },
         iters,
     );
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = available_cores();
     let vectorized_agent = rollout_bench_agent();
     let mut venv = VecEnv::from_fn(ROLLOUT_EPISODES, |_| FixedHorizonEnv::new(ROLLOUT_HORIZON));
     let collector = ParallelCollector::new(

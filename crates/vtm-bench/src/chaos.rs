@@ -25,6 +25,7 @@ use vtm_journal::{
 };
 use vtm_serve::QuoteRequest;
 
+use crate::gateway_bench::quote_requests;
 use crate::journal_cli::build_service;
 use crate::results_dir;
 
@@ -114,16 +115,11 @@ fn stream_requests(opts: &ChaosOptions) -> Result<Vec<QuoteRequest>, String> {
     let stream = EnvRegistry::builtin()
         .request_stream(&opts.env, &build, sessions, rounds)
         .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?;
-    let mut out = Vec::with_capacity(requests);
-    'rounds: for round in &stream {
-        for frame in round {
-            if out.len() == requests {
-                break 'rounds;
-            }
-            out.push(QuoteRequest::new(frame.session, frame.features.clone()));
-        }
-    }
-    Ok(out)
+    Ok(quote_requests(stream)
+        .into_iter()
+        .flatten()
+        .take(requests)
+        .collect())
 }
 
 /// The gateway configuration for one plan. All plans run a single executor

@@ -19,8 +19,9 @@ use vtm_journal::{
     find_latest_snapshot, find_snapshots, replay_journal, JournalOptions, ReplayOptions,
     ReplayReport, ScanMode, StateSnapshot,
 };
-use vtm_serve::{PricingService, QuoteRequest, ServiceConfig};
+use vtm_serve::{PricingService, ServiceConfig};
 
+use crate::gateway_bench::quote_requests;
 use crate::results_dir;
 use crate::serve_bench::resolve_snapshot;
 
@@ -178,9 +179,11 @@ pub fn run_journal_demo(opts: &JournalDemoOptions) -> Result<JournalDemoResult, 
     let sessions = opts.sessions.max(1);
     let requests = opts.requests.max(1);
     let rounds = requests.div_ceil(sessions);
-    let stream = registry
-        .request_stream(&opts.env, &build, sessions, rounds)
-        .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?;
+    let stream = quote_requests(
+        registry
+            .request_stream(&opts.env, &build, sessions, rounds)
+            .ok_or_else(|| format!("unknown environment preset `{}`", opts.env))?,
+    );
 
     // A fresh recording: drop stale snapshots from previous demos so that
     // `replay --snapshot auto` cannot pick up a snapshot that claims more
@@ -208,20 +211,12 @@ pub fn run_journal_demo(opts: &JournalDemoOptions) -> Result<JournalDemoResult, 
     // Sliding submission window: wait the oldest ticket once 256 are in
     // flight, so arbitrarily large --requests counts stay under the
     // gateway's admission bound instead of tripping Overloaded.
-    let mut submitted = 0usize;
     let mut tickets = std::collections::VecDeque::with_capacity(256);
-    'rounds: for round in &stream {
-        for frame in round {
-            if submitted == requests {
-                break 'rounds;
-            }
-            let request = QuoteRequest::new(frame.session, frame.features.clone());
-            tickets.push_back(gateway.submit(request).map_err(|e| e.to_string())?);
-            submitted += 1;
-            if tickets.len() >= 256 {
-                let ticket = tickets.pop_front().expect("window is non-empty");
-                ticket.wait().map_err(|e| e.to_string())?;
-            }
+    for request in stream.into_iter().flatten().take(requests) {
+        tickets.push_back(gateway.submit(request).map_err(|e| e.to_string())?);
+        if tickets.len() >= 256 {
+            let ticket = tickets.pop_front().expect("window is non-empty");
+            ticket.wait().map_err(|e| e.to_string())?;
         }
     }
     for ticket in tickets {

@@ -1,13 +1,44 @@
-//! Pins the fused, allocation-free PPO update path bit-identical to the
-//! pre-fusion reference implementation on a fixed-seed training run at the
-//! paper's shapes (obs_dim 7, 64x64 MLP, mini-batch 20, M = 10 epochs).
+//! Pins the two-lane PPO update (`PpoAgent::update`: actor lane on a
+//! scoped thread, critic lane on the caller, one shared minibatch order
+//! drawn up front) bit-identical to the single-threaded, allocating
+//! reference implementation (`PpoAgent::update_reference`) on fixed-seed
+//! training runs: the paper's shapes (obs_dim 7, 64x64 MLP, mini-batch 20,
+//! M = 10 epochs), the two-VMU market's obs_dim 12, and the edge shapes the
+//! up-front order and the lane split must get right.
 //!
-//! Every kernel the fused path uses (`affine_into`, `matmul_at_b_into`,
+//! Every kernel the lanes use (`affine_into`, `matmul_at_b_into`,
 //! `matmul_a_bt_into`, the batched Gaussian row ops, the shared Adam slice
-//! kernel) accumulates in the same floating-point order as the allocating
-//! reference, so the comparison below is exact equality, not a tolerance.
+//! kernel) accumulates in the same floating-point order as the reference,
+//! and each lane sums its statistics in minibatch order, so the comparisons
+//! below are exact equality, not a tolerance.
 
 use vtm_bench::{update_bench_agent, update_bench_samples};
+use vtm_core::config::ExperimentConfig;
+use vtm_core::mechanism::IncentiveMechanism;
+use vtm_rl::env::ActionSpace;
+use vtm_rl::ppo::{PpoAgent, PpoConfig};
+
+/// Runs `rounds` updates of `samples` fresh samples each on `agent` and on a
+/// clone through the reference path, asserting equal statistics and equal
+/// full agent state (networks, optimizers, log-std, RNG counter) after
+/// every round.
+fn assert_matches_reference(mut agent: PpoAgent, samples: usize, rounds: u64) {
+    let mut reference = agent.clone();
+    for round in 0..rounds {
+        let batch = update_bench_samples(&agent, samples, 500 + round);
+        let sl = agent.update(&batch);
+        let sr = reference.update_reference(&batch);
+        assert_eq!(sl, sr, "update stats diverged at round {round}");
+        assert_eq!(agent, reference, "agent state diverged at round {round}");
+    }
+}
+
+/// The paper's update-bench agent with one hyper-parameter overridden.
+fn bench_agent_with(seed: u64, tweak: impl FnOnce(&mut PpoConfig)) -> PpoAgent {
+    let mut config = PpoConfig::new(7, 1).with_seed(seed);
+    tweak(&mut config);
+    PpoAgent::new(config, ActionSpace::scalar(5.0, 50.0))
+}
 
 #[test]
 fn fused_update_matches_reference_bitwise_over_training_run() {
@@ -114,4 +145,33 @@ fn fused_update_handles_ragged_final_minibatch() {
     let sr = reference.update_reference(&samples);
     assert_eq!(sf, sr);
     assert_eq!(fused, reference);
+}
+
+#[test]
+fn single_epoch_update_matches_reference() {
+    assert_matches_reference(bench_agent_with(11, |c| c.update_epochs = 1), 47, 3);
+}
+
+#[test]
+fn one_minibatch_per_epoch_matches_reference() {
+    // |I| equal to and larger than the sample count: each epoch is one
+    // minibatch holding every sample.
+    for minibatch_size in [40, 64] {
+        let agent = bench_agent_with(12, |c| c.minibatch_size = minibatch_size);
+        assert_matches_reference(agent, 40, 3);
+    }
+}
+
+#[test]
+fn single_sample_update_matches_reference() {
+    assert_matches_reference(update_bench_agent(13), 1, 4);
+}
+
+#[test]
+fn two_vmu_market_shape_matches_reference() {
+    // The agent the benchmark's training workload builds (obs_dim 12).
+    let mechanism = IncentiveMechanism::new(ExperimentConfig::paper_two_vmus());
+    let agent = mechanism.agent().clone();
+    assert_eq!(agent.config().obs_dim, 12);
+    assert_matches_reference(agent, 60, 3);
 }

@@ -173,8 +173,9 @@ impl IncentiveMechanism {
     ///
     /// A thin shim over the builder-style [`Trainer`]: one environment
     /// replica, one episode per PPO update (Algorithm 1, lines 10-13). The
-    /// per-episode update runs through the agent's fused, allocation-free
-    /// path ([`PpoAgent::update`]).
+    /// per-episode update runs through [`PpoAgent::update`], which trains
+    /// the actor and the critic concurrently and spawns one scoped thread
+    /// per update.
     pub fn train_episodes(&mut self, episodes: usize) -> TrainingHistory {
         self.train_with(episodes, 1, 1)
     }

@@ -242,6 +242,22 @@ impl TrainWorkspace {
             .expect("workspace not populated by a forward pass")
     }
 
+    /// Sizes every buffer for a `batch`-row forward/backward pass through
+    /// `net`, so later passes of at most `batch` rows allocate nothing —
+    /// for example when they run on a thread that should not allocate.
+    pub fn reserve(&mut self, net: &Mlp, batch: usize) {
+        self.ensure(net);
+        for (idx, layer) in net.layers.iter().enumerate() {
+            self.pre[idx].resize(batch, layer.fan_out());
+            self.act[idx].resize(batch, layer.fan_out());
+            self.grad_pre[idx].resize(batch, layer.fan_out());
+            // Layer 0's input gradient is never computed.
+            if idx > 0 {
+                self.grad_act[idx].resize(batch, layer.fan_in());
+            }
+        }
+    }
+
     fn ensure(&mut self, net: &Mlp) {
         let n = net.layers.len();
         self.pre.resize_with(n, || Matrix::zeros(0, 0));

@@ -152,7 +152,10 @@ impl Adam {
         }
     }
 
-    fn ensure_state(&mut self, net: &Mlp) {
+    /// Allocates zeroed moment estimates for `net` unless they exist already,
+    /// exactly as the first [`Optimizer::step`] would; later steps then
+    /// allocate nothing (for example on a thread that should not allocate).
+    pub fn ensure_state(&mut self, net: &Mlp) {
         if self.first_moment.len() != net.layers().len() {
             let zeros: Vec<(Matrix, Matrix)> = net
                 .layers()

@@ -169,26 +169,40 @@ pub struct ActionSample {
     pub value: f64,
 }
 
-/// Reusable buffers for the fused, allocation-free PPO update path.
-///
-/// The agent owns one workspace for its whole lifetime: minibatch gathers,
-/// forward/backward caches ([`TrainWorkspace`]), gradient scratch
-/// ([`MlpGrads`]) and the batched-Gaussian intermediates are all resized in
-/// place, so steady-state updates perform zero heap allocation.
+/// The minibatch order of one update, read by both lanes: every epoch's
+/// shuffle of `0..samples.len()`, concatenated, dealt in chunks of `size`.
+#[derive(Clone, Copy)]
+struct Minibatches<'a> {
+    samples: &'a [ProcessedSample],
+    order: &'a [usize],
+    size: usize,
+}
+
+impl<'a> Minibatches<'a> {
+    /// Each minibatch's sample indices, epoch by epoch; an epoch's last
+    /// minibatch is short when `size` does not divide the sample count.
+    fn iter(self) -> impl Iterator<Item = &'a [usize]> {
+        let size = self.size;
+        self.order
+            .chunks(self.samples.len())
+            .flat_map(move |epoch| epoch.chunks(size))
+    }
+
+    /// Rows of the largest minibatch.
+    fn max_rows(self) -> usize {
+        self.size.min(self.samples.len())
+    }
+}
+
+/// Reusable buffers of the actor lane of [`PpoAgent::update`]: the gathered
+/// minibatch, the forward/backward caches ([`TrainWorkspace`]), gradient
+/// scratch ([`MlpGrads`]) and the batched-Gaussian intermediates.
 #[derive(Debug, Clone, PartialEq, Default)]
-struct UpdateWorkspace {
-    /// Shuffled sample indices, re-dealt each epoch.
-    indices: Vec<usize>,
+struct ActorLane {
     /// Gathered minibatch observations (`batch x obs_dim`).
     obs: Matrix,
     /// Gathered minibatch actions (`batch x action_dim`).
     actions: Matrix,
-    /// Gathered behaviour-policy log-probabilities.
-    old_log_probs: Vec<f64>,
-    /// Gathered advantages.
-    advantages: Vec<f64>,
-    /// Gathered value targets.
-    value_targets: Vec<f64>,
     /// New-policy log-probabilities (batched Gaussian output).
     new_log_probs: Vec<f64>,
     /// Batched `d log_prob / d mean` rows.
@@ -197,21 +211,203 @@ struct UpdateWorkspace {
     grad_log_std_rows: Matrix,
     /// Loss gradient w.r.t. the actor output (means).
     grad_mean: Matrix,
-    /// Loss gradient w.r.t. the critic output (values).
-    grad_values: Matrix,
     /// Accumulated log-std gradient.
     grad_log_std: Vec<f64>,
-    /// Actor forward/backward caches.
-    actor_ws: TrainWorkspace,
-    /// Critic forward/backward caches.
-    critic_ws: TrainWorkspace,
-    /// Actor parameter-gradient scratch.
-    actor_grads: MlpGrads,
-    /// Critic parameter-gradient scratch.
-    critic_grads: MlpGrads,
+    /// Forward/backward caches.
+    train: TrainWorkspace,
+    /// Parameter-gradient scratch.
+    grads: MlpGrads,
     /// One Gaussian reused across all minibatches (mean/log-std are copied
     /// in place, never reallocated).
     dist: Option<DiagGaussian>,
+}
+
+/// Reusable buffers of the critic lane of [`PpoAgent::update`].
+#[derive(Debug, Clone, PartialEq, Default)]
+struct CriticLane {
+    /// Gathered minibatch observations (`batch x obs_dim`).
+    obs: Matrix,
+    /// Loss gradient w.r.t. the critic output (values).
+    grad_values: Matrix,
+    /// Forward/backward caches.
+    train: TrainWorkspace,
+    /// Parameter-gradient scratch.
+    grads: MlpGrads,
+}
+
+impl ActorLane {
+    /// Sizes every buffer the lane writes — its workspace and the actor
+    /// optimizer's moments — for minibatches of up to `rows` rows, so the
+    /// lane itself allocates nothing.
+    fn prepare(&mut self, net: &Mlp, optimizer: &mut Adam, config: &PpoConfig, rows: usize) {
+        let action_dim = config.action_dim;
+        self.obs.resize(rows, config.obs_dim);
+        self.actions.resize(rows, action_dim);
+        self.new_log_probs.clear();
+        self.new_log_probs.reserve(rows);
+        self.grad_mean_rows.resize(rows, action_dim);
+        self.grad_log_std_rows.resize(rows, action_dim);
+        self.grad_mean.resize(rows, action_dim);
+        self.grad_log_std.resize(action_dim, 0.0);
+        self.train.reserve(net, rows);
+        self.grads.ensure_like(net);
+        self.dist
+            .get_or_insert_with(|| DiagGaussian::new(vec![0.0; action_dim], vec![0.0; action_dim]));
+        optimizer.ensure_state(net);
+    }
+
+    /// Trains the actor and the policy log-std on every minibatch in order.
+    /// Returns the policy statistics summed over minibatches (in minibatch
+    /// order) and the number of gradient steps; `value_loss` is left 0.
+    fn run(
+        &mut self,
+        net: &mut Mlp,
+        optimizer: &mut Adam,
+        log_std: &mut [f64],
+        log_std_optimizer: &mut VectorAdam,
+        config: &PpoConfig,
+        batches: Minibatches<'_>,
+    ) -> PpoUpdateStats {
+        let action_dim = config.action_dim;
+        let eps = config.clip_epsilon;
+        let mut totals = PpoUpdateStats::default();
+        for batch in batches.iter() {
+            let batch_size = batch.len();
+            let inv_n = 1.0 / batch_size as f64;
+            self.obs.resize(batch_size, config.obs_dim);
+            self.actions.resize(batch_size, action_dim);
+            for (r, &idx) in batch.iter().enumerate() {
+                let s = &batches.samples[idx];
+                assert_eq!(
+                    s.action.len(),
+                    action_dim,
+                    "sample action width must equal action_dim"
+                );
+                self.obs.row_mut(r).copy_from_slice(&s.observation);
+                self.actions.row_mut(r).copy_from_slice(&s.action);
+            }
+
+            net.forward_train_ws(&self.obs, &mut self.train)
+                .expect("actor forward failed");
+            let dist = self
+                .dist
+                .as_mut()
+                .expect("prepare installs the distribution");
+            dist.set_log_std(log_std);
+            let means = self.train.output();
+            dist.log_prob_rows(means, &self.actions, &mut self.new_log_probs);
+            dist.grad_mean_rows(means, &self.actions, &mut self.grad_mean_rows);
+            dist.grad_log_std_rows(means, &self.actions, &mut self.grad_log_std_rows);
+            let entropy_each = dist.entropy();
+
+            self.grad_mean.resize(batch_size, action_dim);
+            self.grad_log_std.clear();
+            self.grad_log_std.resize(action_dim, 0.0);
+            let mut policy_loss = 0.0;
+            let mut entropy_total = 0.0;
+            let mut approx_kl = 0.0;
+            let mut clipped = 0usize;
+            for (i, &idx) in batch.iter().enumerate() {
+                let sample = &batches.samples[idx];
+                let new_log_prob = self.new_log_probs[i];
+                let ratio = (new_log_prob - sample.old_log_prob).exp();
+                let advantage = sample.advantage;
+                let surr1 = ratio * advantage;
+                let clipped_ratio = ratio.clamp(1.0 - eps, 1.0 + eps);
+                let surr2 = clipped_ratio * advantage;
+                policy_loss += -surr1.min(surr2) * inv_n;
+                entropy_total += entropy_each * inv_n;
+                approx_kl += (sample.old_log_prob - new_log_prob) * inv_n;
+                if (ratio - clipped_ratio).abs() > 1e-12 {
+                    clipped += 1;
+                }
+
+                // d(-min(surr1, surr2))/d(log pi): -A * ratio when the
+                // unclipped branch is active, 0 otherwise (the clipped branch
+                // is constant in the parameters).
+                let dloss_dlogp = if surr1 <= surr2 {
+                    -advantage * ratio
+                } else {
+                    0.0
+                } * inv_n;
+                if dloss_dlogp != 0.0 {
+                    for j in 0..action_dim {
+                        self.grad_mean[(i, j)] = dloss_dlogp * self.grad_mean_rows[(i, j)];
+                        self.grad_log_std[j] += dloss_dlogp * self.grad_log_std_rows[(i, j)];
+                    }
+                } else {
+                    self.grad_mean.row_mut(i).fill(0.0);
+                }
+                // Entropy bonus: loss -= entropy_coef * H, dH/dlog_std_j = 1.
+                for g in self.grad_log_std.iter_mut() {
+                    *g -= config.entropy_coef * inv_n;
+                }
+            }
+
+            net.backward_ws(&self.obs, &mut self.train, &self.grad_mean, &mut self.grads)
+                .expect("actor backward failed");
+            self.grads.clip_global_norm(config.max_grad_norm);
+            optimizer.step(net, &self.grads);
+            log_std_optimizer.step(log_std, &self.grad_log_std);
+            for ls in log_std.iter_mut() {
+                *ls = ls.max(config.min_log_std);
+            }
+
+            totals.policy_loss += policy_loss;
+            totals.entropy += entropy_total;
+            totals.approx_kl += approx_kl;
+            totals.clip_fraction += clipped as f64 / batch_size as f64;
+            totals.gradient_steps += 1;
+        }
+        totals
+    }
+}
+
+impl CriticLane {
+    /// Trains the critic on every minibatch in order, returning the value
+    /// loss summed over minibatches (in minibatch order). Runs on the
+    /// calling thread, so its workspace needs no sizing up front.
+    fn run(
+        &mut self,
+        net: &mut Mlp,
+        optimizer: &mut Adam,
+        config: &PpoConfig,
+        batches: Minibatches<'_>,
+    ) -> f64 {
+        let mut total = 0.0;
+        for batch in batches.iter() {
+            let batch_size = batch.len();
+            let inv_n = 1.0 / batch_size as f64;
+            self.obs.resize(batch_size, config.obs_dim);
+            for (r, &idx) in batch.iter().enumerate() {
+                self.obs
+                    .row_mut(r)
+                    .copy_from_slice(&batches.samples[idx].observation);
+            }
+
+            let values = net
+                .forward_train_ws(&self.obs, &mut self.train)
+                .expect("critic forward failed");
+            self.grad_values.resize(batch_size, 1);
+            let mut value_loss = 0.0;
+            for (i, &idx) in batch.iter().enumerate() {
+                let err = values[(i, 0)] - batches.samples[idx].value_target;
+                value_loss += err * err * inv_n;
+                self.grad_values[(i, 0)] = config.value_loss_coef * 2.0 * err * inv_n;
+            }
+            net.backward_ws(
+                &self.obs,
+                &mut self.train,
+                &self.grad_values,
+                &mut self.grads,
+            )
+            .expect("critic backward failed");
+            self.grads.clip_global_norm(config.max_grad_norm);
+            optimizer.step(net, &self.grads);
+            total += value_loss;
+        }
+        total
+    }
 }
 
 /// The PPO agent: Gaussian actor, value critic and their optimizers.
@@ -231,9 +427,12 @@ pub struct PpoAgent {
     /// untouched; a serving deployment typically loads one from a
     /// [`PolicySnapshot`].
     obs_normalizer: Option<RunningMeanStd>,
-    /// Scratch for the fused update path; excluded from [`PartialEq`] because
-    /// it is pure cache (its contents never influence future results).
-    update_ws: UpdateWorkspace,
+    /// Scratch of [`PpoAgent::update`] — the minibatch order and one
+    /// workspace per lane; excluded from [`PartialEq`] because it is pure
+    /// cache (its contents never influence future results).
+    update_order: Vec<usize>,
+    actor_lane: ActorLane,
+    critic_lane: CriticLane,
 }
 
 impl PartialEq for PpoAgent {
@@ -292,7 +491,9 @@ impl PpoAgent {
             critic,
             log_std,
             obs_normalizer: None,
-            update_ws: UpdateWorkspace::default(),
+            update_order: Vec::new(),
+            actor_lane: ActorLane::default(),
+            critic_lane: CriticLane::default(),
         }
     }
 
@@ -554,14 +755,24 @@ impl PpoAgent {
     /// Returns per-update statistics. The samples are typically produced by
     /// [`RolloutBuffer::process`] with this agent's `gamma`/`lambda`.
     ///
-    /// This is the fused, fully batched update path: minibatches are gathered
-    /// into the agent's persistent update workspace, forward/backward
-    /// passes run through [`Mlp::forward_train_ws`] / [`Mlp::backward_ws`]
-    /// and the Gaussian surrogate terms are evaluated with the batched
-    /// [`DiagGaussian`] row ops, so steady-state updates perform zero heap
-    /// allocation. Results are bit-identical to
-    /// [`PpoAgent::update_reference`] (asserted by
-    /// `vtm-bench/tests/update_equivalence.rs`).
+    /// The update runs as two concurrent lanes, one per network. Actor and
+    /// critic share no parameters, optimizer or RNG; all they share is the
+    /// minibatch order, drawn up front — every epoch's shuffle of a fresh
+    /// `0..n`, with the same RNG draws as [`PpoAgent::update_reference`].
+    /// The actor lane (forward, batched [`DiagGaussian`] surrogate terms,
+    /// backward, gradient clip, Adam, log-std step and clamp) runs on one
+    /// scoped thread; the critic lane (forward, value loss, backward, clip,
+    /// Adam) runs on the calling thread. Each lane performs the same
+    /// floating-point operations in the same order as the reference path and
+    /// sums its statistics in minibatch order, so results are bit-identical
+    /// to [`PpoAgent::update_reference`] (asserted by
+    /// `vtm-bench/tests/update_equivalence.rs`) for every thread schedule.
+    ///
+    /// Each lane gathers minibatches into its own persistent workspace and
+    /// runs [`Mlp::forward_train_ws`] / [`Mlp::backward_ws`] there. The
+    /// workspaces are sized on the calling thread before the lane thread
+    /// starts, so after the first update the only allocations of an update
+    /// are those of spawning its one scoped thread.
     ///
     /// # Panics
     ///
@@ -570,6 +781,10 @@ impl PpoAgent {
     /// would compute importance ratios against a different policy than the
     /// one that acted. Remove it (`set_obs_normalizer(None)`) before
     /// training; it is an inference-time feature.
+    ///
+    /// Panics if a sample's observation or action width differs from the
+    /// configuration. A panic inside either lane is re-raised on the caller
+    /// with its original payload once both lanes have stopped.
     pub fn update(&mut self, samples: &[ProcessedSample]) -> PpoUpdateStats {
         assert!(
             self.obs_normalizer.is_none(),
@@ -579,46 +794,57 @@ impl PpoAgent {
         if samples.is_empty() {
             return PpoUpdateStats::default();
         }
-        // The workspace is moved out so minibatch updates can borrow the
-        // agent mutably alongside it; moving a struct allocates nothing.
-        let mut ws = std::mem::take(&mut self.update_ws);
-        let mut stats = PpoUpdateStats::default();
-        let mut total_batches = 0usize;
         let mut rng = self.next_rng();
-        let minibatch = self.config.minibatch_size;
+        // Same deal as `RolloutBuffer::minibatches` per epoch (identical RNG
+        // consumption), for all epochs at once.
+        self.update_order.clear();
         for _ in 0..self.config.update_epochs {
-            // Same deal as `RolloutBuffer::minibatches` (identical RNG
-            // consumption), without allocating the per-batch vectors.
-            ws.indices.clear();
-            ws.indices.extend(0..samples.len());
-            ws.indices.shuffle(&mut rng);
-            let mut start = 0;
-            while start < samples.len() {
-                let end = (start + minibatch).min(samples.len());
-                let batch_stats = self.update_minibatch_fused(&mut ws, samples, start, end);
-                stats.policy_loss += batch_stats.policy_loss;
-                stats.value_loss += batch_stats.value_loss;
-                stats.entropy += batch_stats.entropy;
-                stats.approx_kl += batch_stats.approx_kl;
-                stats.clip_fraction += batch_stats.clip_fraction;
-                total_batches += 1;
-                start = end;
-            }
+            let epoch = self.update_order.len();
+            self.update_order.extend(0..samples.len());
+            self.update_order[epoch..].shuffle(&mut rng);
         }
-        self.update_ws = ws;
-        if total_batches > 0 {
-            let n = total_batches as f64;
-            stats.policy_loss /= n;
-            stats.value_loss /= n;
-            stats.entropy /= n;
-            stats.approx_kl /= n;
-            stats.clip_fraction /= n;
-        }
-        stats.gradient_steps = total_batches;
+        let batches = Minibatches {
+            samples,
+            order: &self.update_order,
+            size: self.config.minibatch_size,
+        };
+        let config = &self.config;
+        let (actor_lane, critic_lane) = (&mut self.actor_lane, &mut self.critic_lane);
+        let (actor, actor_optimizer) = (&mut self.actor, &mut self.actor_optimizer);
+        let (log_std, log_std_optimizer) = (&mut self.log_std, &mut self.log_std_optimizer);
+        let (critic, critic_optimizer) = (&mut self.critic, &mut self.critic_optimizer);
+        // Everything the lane thread will write is sized here, on the caller.
+        actor_lane.prepare(actor, actor_optimizer, config, batches.max_rows());
+
+        let (mut stats, value_loss) = std::thread::scope(|scope| {
+            let actor_run = scope.spawn(|| {
+                actor_lane.run(
+                    actor,
+                    actor_optimizer,
+                    log_std,
+                    log_std_optimizer,
+                    config,
+                    batches,
+                )
+            });
+            let value_loss = critic_lane.run(critic, critic_optimizer, config, batches);
+            let stats = actor_run
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (stats, value_loss)
+        });
+        stats.value_loss = value_loss;
+        let n = stats.gradient_steps as f64;
+        stats.policy_loss /= n;
+        stats.value_loss /= n;
+        stats.entropy /= n;
+        stats.approx_kl /= n;
+        stats.clip_fraction /= n;
         stats
     }
 
     /// The pre-fusion PPO update, kept as the reference implementation: it
+    /// runs on the calling thread, actor then critic per minibatch,
     /// allocates fresh matrices for every step and evaluates the Gaussian
     /// per sample. `vtm-bench` pins [`PpoAgent::update`] bit-identical to
     /// this path and benchmarks the speedup between the two.
@@ -661,150 +887,6 @@ impl PpoAgent {
         }
         stats.gradient_steps = total_batches;
         stats
-    }
-
-    /// One fused minibatch step over `samples[ws.indices[start..end]]`.
-    ///
-    /// Mirrors [`PpoAgent::update_minibatch_reference`] operation for
-    /// operation — every sum accumulates in the same order — so the two paths
-    /// stay bit-identical while this one reuses `ws` instead of allocating.
-    fn update_minibatch_fused(
-        &mut self,
-        ws: &mut UpdateWorkspace,
-        samples: &[ProcessedSample],
-        start: usize,
-        end: usize,
-    ) -> PpoUpdateStats {
-        let batch_size = end - start;
-        let inv_n = 1.0 / batch_size as f64;
-        let obs_dim = self.config.obs_dim;
-        let action_dim = self.config.action_dim;
-
-        // ---------------- Gather ----------------
-        ws.obs.resize(batch_size, obs_dim);
-        ws.actions.resize(batch_size, action_dim);
-        ws.old_log_probs.clear();
-        ws.advantages.clear();
-        ws.value_targets.clear();
-        for (r, &idx) in ws.indices[start..end].iter().enumerate() {
-            let s = &samples[idx];
-            ws.obs.row_mut(r).copy_from_slice(&s.observation);
-            ws.actions.row_mut(r).copy_from_slice(&s.action);
-            ws.old_log_probs.push(s.old_log_prob);
-            ws.advantages.push(s.advantage);
-            ws.value_targets.push(s.value_target);
-        }
-
-        // ---------------- Actor ----------------
-        self.actor
-            .forward_train_ws(&ws.obs, &mut ws.actor_ws)
-            .expect("actor forward failed");
-        let dist = ws
-            .dist
-            .get_or_insert_with(|| DiagGaussian::new(vec![0.0; action_dim], vec![0.0; action_dim]));
-        dist.set_log_std(&self.log_std);
-        let means = ws.actor_ws.output();
-        dist.log_prob_rows(means, &ws.actions, &mut ws.new_log_probs);
-        dist.grad_mean_rows(means, &ws.actions, &mut ws.grad_mean_rows);
-        dist.grad_log_std_rows(means, &ws.actions, &mut ws.grad_log_std_rows);
-        let entropy_each = dist.entropy();
-
-        ws.grad_mean.resize(batch_size, action_dim);
-        ws.grad_log_std.clear();
-        ws.grad_log_std.resize(action_dim, 0.0);
-        let mut policy_loss = 0.0;
-        let mut entropy_total = 0.0;
-        let mut approx_kl = 0.0;
-        let mut clipped = 0usize;
-        let eps = self.config.clip_epsilon;
-
-        for i in 0..batch_size {
-            let new_log_prob = ws.new_log_probs[i];
-            let ratio = (new_log_prob - ws.old_log_probs[i]).exp();
-            let advantage = ws.advantages[i];
-            let surr1 = ratio * advantage;
-            let clipped_ratio = ratio.clamp(1.0 - eps, 1.0 + eps);
-            let surr2 = clipped_ratio * advantage;
-            policy_loss += -surr1.min(surr2) * inv_n;
-            entropy_total += entropy_each * inv_n;
-            approx_kl += (ws.old_log_probs[i] - new_log_prob) * inv_n;
-            if (ratio - clipped_ratio).abs() > 1e-12 {
-                clipped += 1;
-            }
-
-            // d(-min(surr1, surr2))/d(log pi): -A * ratio when the unclipped
-            // branch is active, 0 otherwise (the clipped branch is constant in
-            // the parameters).
-            let dloss_dlogp = if surr1 <= surr2 {
-                -advantage * ratio
-            } else {
-                0.0
-            } * inv_n;
-            if dloss_dlogp != 0.0 {
-                for j in 0..action_dim {
-                    ws.grad_mean[(i, j)] = dloss_dlogp * ws.grad_mean_rows[(i, j)];
-                    ws.grad_log_std[j] += dloss_dlogp * ws.grad_log_std_rows[(i, j)];
-                }
-            } else {
-                ws.grad_mean.row_mut(i).fill(0.0);
-            }
-            // Entropy bonus: loss -= entropy_coef * H, dH/dlog_std_j = 1.
-            for g in ws.grad_log_std.iter_mut() {
-                *g -= self.config.entropy_coef * inv_n;
-            }
-        }
-
-        self.actor
-            .backward_ws(
-                &ws.obs,
-                &mut ws.actor_ws,
-                &ws.grad_mean,
-                &mut ws.actor_grads,
-            )
-            .expect("actor backward failed");
-        ws.actor_grads.clip_global_norm(self.config.max_grad_norm);
-        self.actor_optimizer.step(&mut self.actor, &ws.actor_grads);
-        self.log_std_optimizer
-            .step(&mut self.log_std, &ws.grad_log_std);
-        for ls in &mut self.log_std {
-            *ls = ls.max(self.config.min_log_std);
-        }
-
-        // ---------------- Critic ----------------
-        self.critic
-            .forward_train_ws(&ws.obs, &mut ws.critic_ws)
-            .expect("critic forward failed");
-        ws.grad_values.resize(batch_size, 1);
-        let mut value_loss = 0.0;
-        {
-            let values = ws.critic_ws.output();
-            for i in 0..batch_size {
-                let v = values[(i, 0)];
-                let err = v - ws.value_targets[i];
-                value_loss += err * err * inv_n;
-                ws.grad_values[(i, 0)] = self.config.value_loss_coef * 2.0 * err * inv_n;
-            }
-        }
-        self.critic
-            .backward_ws(
-                &ws.obs,
-                &mut ws.critic_ws,
-                &ws.grad_values,
-                &mut ws.critic_grads,
-            )
-            .expect("critic backward failed");
-        ws.critic_grads.clip_global_norm(self.config.max_grad_norm);
-        self.critic_optimizer
-            .step(&mut self.critic, &ws.critic_grads);
-
-        PpoUpdateStats {
-            policy_loss,
-            value_loss,
-            entropy: entropy_total,
-            approx_kl,
-            clip_fraction: clipped as f64 / batch_size as f64,
-            gradient_steps: 1,
-        }
     }
 
     fn update_minibatch_reference(&mut self, batch: &[&ProcessedSample]) -> PpoUpdateStats {
@@ -1130,6 +1212,45 @@ mod tests {
         let mut agent = PpoAgent::new(cfg, ActionSpace::scalar(0.0, 1.0));
         let stats = agent.update(&[]);
         assert_eq!(stats.gradient_steps, 0);
+    }
+
+    #[test]
+    fn a_lane_panic_reaches_the_caller_with_its_own_message() {
+        let mut agent = PpoAgent::new(
+            PpoConfig::new(2, 1).with_seed(3),
+            ActionSpace::scalar(0.0, 10.0),
+        );
+        let sample = ProcessedSample {
+            observation: vec![0.5, -0.5],
+            action: vec![1.0],
+            old_log_prob: -1.0,
+            advantage: 0.5,
+            value_target: 0.2,
+        };
+        let mut samples = vec![sample; 8];
+        // Only the actor lane (the scoped thread) reads actions.
+        samples[5].action.push(2.0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| agent.update(&samples)));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("update hung after a lane panic")
+            .expect("update must panic on a mis-shaped action");
+        assert!(
+            message.contains("sample action width must equal action_dim"),
+            "lane panic re-raised with a different payload: {message:?}"
+        );
     }
 
     #[test]
